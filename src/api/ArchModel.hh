@@ -12,9 +12,7 @@
  * banks, compute cache, token pools) and counters.
  *
  * Models register by string key in ArchRegistry ("qla", "gqla",
- * "cqla", "gcqla", "fma"); the legacy MicroarchKind enum and
- * runMicroarch() in arch/Microarch.hh are thin aliases over the
- * registry, kept so pre-redesign wiring stays bit-identical.
+ * "cqla", "gcqla", "fma"); the key is the only way to pick one.
  *
  * Unknown keys throw std::invalid_argument listing the registered
  * keys.

@@ -285,42 +285,20 @@ SharedWorkload makeSharedWorkload(Workload workload);
 class Experiment
 {
   public:
+    /** Build the config's workload lazily, on first use. */
     explicit Experiment(ExperimentConfig config);
 
     /**
-     * Adopt an already-built workload (e.g. one shared across many
-     * experiments by a bench). The config's workload fields are
-     * assumed to describe it; no rebuild happens.
-     */
-    Experiment(ExperimentConfig config, Workload workload);
-
-    /**
-     * Share an already-built workload without copying it (the
-     * sweep engine's cross-point cache hands the same instance to
-     * many concurrent points). The workload must outlive the
-     * experiment and is never mutated.
-     */
-    Experiment(ExperimentConfig config,
-               std::shared_ptr<const Workload> workload);
-
-    /**
-     * Const-shared-workload mode: share both the workload and its
-     * dataflow graph, so the experiment performs *no* per-point
-     * synthesis, copy or graph construction at all — the mode large
-     * sweeps run in (every point of a Table 5-8-scale grid reuses
-     * one immutable bundle). shared.graph must be the DAG over
+     * Share an already-built bundle: no per-point synthesis, copy
+     * or graph construction at all (the sweep engine's cross-point
+     * cache hands one immutable bundle to many concurrent points).
+     * The config's workload fields are assumed to describe it, and
+     * shared.graph must be the DAG over
      * shared.workload->lowered.circuit (makeSharedWorkload
-     * guarantees this). Results are bit-identical to the other
-     * construction modes.
+     * guarantees this). Results are bit-identical to building the
+     * workload here.
      */
     Experiment(ExperimentConfig config, SharedWorkload shared);
-
-    /**
-     * Non-copyable/movable: the cached DataflowGraph references the
-     * cached workload's circuit in place.
-     */
-    Experiment(const Experiment &) = delete;
-    Experiment &operator=(const Experiment &) = delete;
 
     const ExperimentConfig &config() const { return config_; }
 
@@ -342,8 +320,9 @@ class Experiment
     /**
      * The speed-of-data analytics depend only on the cached
      * workload, the technology point and the bin count, so variant
-     * sweeps (e.g. the Figure 15 bench's ~20 arch points per
-     * workload) reuse them instead of re-walking the circuit.
+     * runs on one Experiment reuse them instead of re-walking the
+     * circuit (e.g. the sweep runner's speed-of-data yardstick run
+     * followed by the throttled run of a Figure 8 point).
      */
     struct Analytics
     {
@@ -366,16 +345,12 @@ class Experiment
 
     const Analytics &analytics(const ExperimentConfig &variant);
 
-    /** The dependency DAG: the shared one when provided, else
-     *  built lazily over the cached workload's circuit. */
-    const DataflowGraph &graph();
+    /** The workload bundle: the shared one when provided, else
+     *  built lazily from the config through makeSharedWorkload. */
+    const SharedWorkload &shared();
 
     ExperimentConfig config_;
-    std::optional<FowlerSynth> synth_;
-    std::optional<Workload> workload_;
-    std::shared_ptr<const Workload> shared_; ///< takes precedence
-    std::shared_ptr<const DataflowGraph> sharedGraph_;
-    std::optional<DataflowGraph> graph_;
+    SharedWorkload shared_;
     std::optional<Analytics> analytics_;
 };
 

@@ -19,32 +19,6 @@ MicroarchConfig::effTech() const
     return ConcatenatedSteane::effectiveTech(tech, codeLevel);
 }
 
-std::string
-microarchName(MicroarchKind kind)
-{
-    switch (kind) {
-      case MicroarchKind::Qla:              return "QLA";
-      case MicroarchKind::Gqla:             return "GQLA";
-      case MicroarchKind::Cqla:             return "CQLA";
-      case MicroarchKind::Gcqla:            return "GCQLA";
-      case MicroarchKind::FullyMultiplexed: return "Fully-Multiplexed";
-    }
-    return "?";
-}
-
-std::string
-microarchKey(MicroarchKind kind)
-{
-    switch (kind) {
-      case MicroarchKind::Qla:              return "qla";
-      case MicroarchKind::Gqla:             return "gqla";
-      case MicroarchKind::Cqla:             return "cqla";
-      case MicroarchKind::Gcqla:            return "gcqla";
-      case MicroarchKind::FullyMultiplexed: return "fma";
-    }
-    return "?";
-}
-
 namespace {
 
 /**
@@ -213,7 +187,7 @@ class QlaModel : public ArchModel
      * "QLA" and "GQLA" are one model: the original QLA proposal is
      * the k = 1 point of its generalization, so the distinction is
      * the display name plus the generatorsPerSite the caller asks
-     * for (exactly as the pre-registry enum behaved).
+     * for.
      */
     explicit QlaModel(std::string name) : name_(std::move(name)) {}
 
@@ -463,15 +437,6 @@ registerBuiltinArchModels(ArchRegistry &registry)
     registry.add("cqla", std::make_shared<CqlaModel>("CQLA"));
     registry.add("gcqla", std::make_shared<CqlaModel>("GCQLA"));
     registry.add("fma", std::make_shared<FmaModel>());
-}
-
-ArchRunResult
-runMicroarch(const DataflowGraph &graph, const EncodedOpModel &model,
-             const MicroarchConfig &config)
-{
-    return ArchRegistry::instance()
-        .get(microarchKey(config.kind))
-        .run(graph, model, config);
 }
 
 } // namespace qc

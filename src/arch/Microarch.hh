@@ -25,17 +25,15 @@
  *
  * The models are implemented as qc::ArchModel subclasses registered
  * in qc::ArchRegistry (api/ArchModel.hh) under the keys "qla",
- * "gqla", "cqla", "gcqla" and "fma"; new consumers should go
- * through the registry or qc::Experiment. The MicroarchKind enum
- * and runMicroarch() below are a thin compatibility layer over the
- * registry, kept so existing wiring stays bit-identical.
+ * "gqla", "cqla", "gcqla" and "fma"; run one through the registry
+ * or qc::Experiment. This header holds the per-run knobs and the
+ * outcome record they share.
  */
 
 #ifndef QC_ARCH_MICROARCH_HH
 #define QC_ARCH_MICROARCH_HH
 
 #include <cstdint>
-#include <string>
 
 #include "circuit/Dataflow.hh"
 #include "codes/EncodedOp.hh"
@@ -44,31 +42,12 @@
 
 namespace qc {
 
-/** The five modeled microarchitectures. */
-enum class MicroarchKind
-{
-    Qla,
-    Gqla,
-    Cqla,
-    Gcqla,
-    FullyMultiplexed,
-};
-
-/** Display name. */
-std::string microarchName(MicroarchKind kind);
-
-/** ArchRegistry lookup key ("qla", ..., "fma") for a kind. */
-std::string microarchKey(MicroarchKind kind);
-
 /**
- * Knobs for a single microarchitecture run. When running through
- * the ArchRegistry the model identity comes from the registry key
- * and `kind` is ignored; it is consumed only by the runMicroarch()
- * compatibility wrapper.
+ * Knobs for a single microarchitecture run. The model itself is
+ * chosen by its ArchRegistry key, not by a field here.
  */
 struct MicroarchConfig
 {
-    MicroarchKind kind = MicroarchKind::FullyMultiplexed;
     IonTrapParams tech{};
 
     /**
@@ -140,16 +119,6 @@ struct ArchRunResult
                    : 0.0;
     }
 };
-
-/**
- * Run one benchmark dataflow under one microarchitecture
- * configuration. Compatibility wrapper: dispatches config.kind
- * through the ArchRegistry, so results are identical to calling
- * the registered model directly.
- */
-ArchRunResult runMicroarch(const DataflowGraph &graph,
-                           const EncodedOpModel &model,
-                           const MicroarchConfig &config);
 
 } // namespace qc
 

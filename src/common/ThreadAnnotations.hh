@@ -7,11 +7,12 @@
  * compile-time check (`-Wthread-safety`, an error under
  * `-DQC_WERROR=ON` — the CI clang lanes).
  *
- * libstdc++'s std::mutex carries no capability attributes, so the
- * analysis cannot see std::lock_guard acquisitions. All annotated
+ * libstdc++'s mutex and lock types carry no capability attributes,
+ * so the analysis cannot see their acquisitions. All annotated
  * code therefore locks through qc::Mutex / qc::MutexLock
- * (common/Mutex.hh), which wrap std::mutex with QC_CAPABILITY /
- * QC_SCOPED_CAPABILITY attributes the analysis does understand.
+ * (common/Mutex.hh), which wrap the standard mutex with
+ * QC_CAPABILITY / QC_SCOPED_CAPABILITY attributes the analysis
+ * does understand.
  *
  * See docs/ANALYSIS.md for the full static-analysis story (which
  * structures are annotated, how to run the checks locally).

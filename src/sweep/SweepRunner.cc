@@ -70,12 +70,12 @@ class ExperimentRunner : public SweepRunner
              SweepContext &context) const override
     {
         const ExperimentConfig c = ExperimentConfig::fromJson(config);
-        SharedWorkload workload = context.workload(c);
+        Experiment experiment(c, context.workload(c));
 
         // Figure 8-style derived throttling: a supply rate given as
         // a fraction of this workload's own average bandwidth at
-        // speed of data (computed once per workload, not per
-        // fraction point).
+        // speed of data. The yardstick run caches the analytics the
+        // throttled run then reuses, so they are computed once.
         const double fraction =
             config.getDouble("zeroPerMsOfAverage", 0.0);
         if (fraction > 0) {
@@ -87,15 +87,15 @@ class ExperimentRunner : public SweepRunner
                     + "\" — set \"schedule\": \"throttled\" or "
                       "drop the fraction");
             }
+            ExperimentConfig ideal = c;
+            ideal.schedule = ScheduleMode::SpeedOfData;
             ExperimentConfig throttled = c;
             throttled.zeroPerMs =
-                context.averageZeroBandwidth(c, workload) * fraction;
-            Experiment experiment(throttled, std::move(workload));
-            Json out = experiment.run().summaryJson();
+                experiment.run(ideal).bandwidth.zeroPerMs() * fraction;
+            Json out = experiment.run(throttled).summaryJson();
             out.set("zero_supply_per_ms", throttled.zeroPerMs);
             return out;
         }
-        Experiment experiment(c, std::move(workload));
         return experiment.run().summaryJson();
     }
 };
@@ -279,7 +279,7 @@ SweepContext::workload(const ExperimentConfig &config)
     std::shared_future<SharedWorkload> future;
     bool builder = false;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        MutexLock lock(mutex_);
         auto it = cache_.find(key);
         if (it == cache_.end()) {
             future = promise.get_future().share();
@@ -305,43 +305,10 @@ SweepContext::workload(const ExperimentConfig &config)
         return built;
     } catch (...) {
         promise.set_exception(std::current_exception());
-        std::lock_guard<std::mutex> lock(mutex_);
+        MutexLock lock(mutex_);
         cache_.erase(key);
         throw;
     }
-}
-
-std::size_t
-SweepContext::workloadsBuilt()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cache_.size();
-}
-
-BandwidthPerMs
-SweepContext::averageZeroBandwidth(const ExperimentConfig &config,
-                                   SharedWorkload workload)
-{
-    // Normalize away the supply knobs: fraction points differing
-    // only in their throttle share one yardstick entry.
-    ExperimentConfig ideal = config;
-    ideal.schedule = ScheduleMode::SpeedOfData;
-    ideal.zeroPerMs = 0;
-    ideal.pi8PerMs = 0;
-    ideal.timeLimit = 0;
-    const std::string key = ideal.toJson().dump(0);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = bandwidth_.find(key);
-        if (it != bandwidth_.end())
-            return it->second;
-    }
-    Experiment experiment(ideal, std::move(workload));
-    const BandwidthPerMs rate =
-        experiment.run().bandwidth.zeroPerMs();
-    std::lock_guard<std::mutex> lock(mutex_);
-    bandwidth_.emplace(key, rate);
-    return rate;
 }
 
 SweepRunnerRegistry &

@@ -34,12 +34,12 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "api/Experiment.hh"
 #include "api/Json.hh"
+#include "common/Mutex.hh"
 
 namespace qc {
 
@@ -58,26 +58,10 @@ class SweepContext
     /** The built workload bundle for the config's workloadKey(). */
     SharedWorkload workload(const ExperimentConfig &config);
 
-    /** Distinct workloads built so far. */
-    std::size_t workloadsBuilt();
-
-    /**
-     * The workload's average encoded-zero bandwidth (per ms) at
-     * speed of data under this config — the Figure 8 yardstick.
-     * Cached by the normalized speed-of-data config, so fraction
-     * sweeps compute it once per workload instead of once per
-     * point. Racing points may both compute it (deterministic, so
-     * harmless); the first store wins.
-     */
-    BandwidthPerMs
-    averageZeroBandwidth(const ExperimentConfig &config,
-                         SharedWorkload workload);
-
   private:
-    std::mutex mutex_;
-    std::map<std::string, std::shared_future<SharedWorkload>>
-        cache_;
-    std::map<std::string, BandwidthPerMs> bandwidth_;
+    Mutex mutex_;
+    std::map<std::string, std::shared_future<SharedWorkload>> cache_
+        QC_GUARDED_BY(mutex_);
 };
 
 /** Turns one point configuration into one point result. */

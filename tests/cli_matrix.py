@@ -9,11 +9,18 @@ file) keep exit 1; this is the boundary the CLI's header documents
 and the serve/sweep wrappers in CI rely on to tell "retry with a
 fixed file" from "fix the script".
 
+A non-quiet sweep whose stderr is a pipe (a CI or worker log) must
+print plain newline-terminated progress lines, never the terminal's
+carriage-return redraw or escape codes.
+
 Usage: cli_matrix.py <path-to-qcarch>
 """
 
+import json
+import os
 import subprocess
 import sys
+import tempfile
 
 USAGE_LINE = "usage: qcarch"
 
@@ -81,6 +88,41 @@ CASES = [
 ]
 
 
+def piped_progress_problems(qcarch):
+    """Run a 12-point sweep with stderr piped; list what is wrong
+    with its progress output (one line per ceil(12/10) = 2 points)."""
+    spec = {
+        "runner": "experiment",
+        "base": {"workload": "qrca", "bits": 4,
+                 "synth": {"maxSyllables": 3}},
+        "axes": [{"field": "demandBins",
+                  "values": list(range(1, 13))}],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = os.path.join(tmp, "spec.json")
+        with open(spec_path, "w") as f:
+            json.dump(spec, f)
+        proc = subprocess.run(
+            [qcarch, "sweep", spec_path, "--threads", "2", "--out",
+             os.path.join(tmp, "out.json")],
+            capture_output=True, text=True, timeout=60)
+    problems = []
+    if proc.returncode != 0:
+        problems.append("exit %d, want 0" % proc.returncode)
+    if "\x1b" in proc.stderr or "\r" in proc.stderr:
+        problems.append("piped stderr has terminal control bytes: %r"
+                        % proc.stderr)
+    ticks = [l for l in proc.stderr.splitlines() if l.startswith("[")]
+    if [t.split("]")[0] for t in ticks] != [
+            "[%d/12" % n for n in range(2, 13, 2)]:
+        problems.append("progress lines %r, want every 2nd point"
+                        % ticks)
+    if not any(l.startswith("12 points (12 executed")
+               for l in proc.stderr.splitlines()):
+        problems.append("summary line missing: %r" % proc.stderr)
+    return problems
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: cli_matrix.py <qcarch>", file=sys.stderr)
@@ -108,13 +150,18 @@ def main():
             problems.append("non-zero exit with silent stderr")
         if problems:
             failures.append((description, argv, problems))
+    problems = piped_progress_problems(qcarch)
+    if problems:
+        failures.append(("non-quiet sweep with piped stderr",
+                         ["sweep", "<12-point spec>"], problems))
     for description, argv, problems in failures:
         print("FAIL %s (qcarch %s):" % (description, " ".join(argv)),
               file=sys.stderr)
         for problem in problems:
             print("  " + problem, file=sys.stderr)
+    total = len(CASES) + 1
     print("cli_matrix: %d/%d cases pass"
-          % (len(CASES) - len(failures), len(CASES)))
+          % (total - len(failures), total))
     return 1 if failures else 0
 
 

@@ -473,20 +473,20 @@ TEST_F(ExperimentParity, QftArchRunIsBitIdentical)
     config.generatorsPerSite = 4;
     config.cacheSlots = 8;
 
-    // The pre-redesign enum-switch entry point.
-    MicroarchConfig mc = config.microarchConfig();
-    mc.kind = MicroarchKind::Gcqla;
-    const ArchRunResult oldRun = runMicroarch(graph, model, mc);
+    // The registered model driven directly, without the facade.
+    const ArchRunResult direct =
+        ArchRegistry::instance().get("gcqla").run(
+            graph, model, config.microarchConfig());
 
     const Result result = runExperiment(config);
-    EXPECT_EQ(result.makespan, oldRun.makespan);
-    EXPECT_EQ(result.archRun.zerosConsumed, oldRun.zerosConsumed);
-    EXPECT_EQ(result.archRun.pi8Consumed, oldRun.pi8Consumed);
-    EXPECT_EQ(result.archRun.teleports, oldRun.teleports);
-    EXPECT_EQ(result.archRun.cacheMisses, oldRun.cacheMisses);
-    EXPECT_EQ(result.archRun.cacheAccesses, oldRun.cacheAccesses);
+    EXPECT_EQ(result.makespan, direct.makespan);
+    EXPECT_EQ(result.archRun.zerosConsumed, direct.zerosConsumed);
+    EXPECT_EQ(result.archRun.pi8Consumed, direct.pi8Consumed);
+    EXPECT_EQ(result.archRun.teleports, direct.teleports);
+    EXPECT_EQ(result.archRun.cacheMisses, direct.cacheMisses);
+    EXPECT_EQ(result.archRun.cacheAccesses, direct.cacheAccesses);
     EXPECT_DOUBLE_EQ(result.archRun.ancillaArea,
-                     oldRun.ancillaArea);
+                     direct.ancillaArea);
 }
 
 TEST_F(ExperimentParity, ConfigJsonRoundTripReproducesResult)

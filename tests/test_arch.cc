@@ -3,13 +3,15 @@
  * Tests for the architecture analyses: the Table 2/3 speed-of-data
  * machinery, the Figure 7 demand profile, the Figure 8 throttled
  * runs, and the Figure 15 microarchitecture orderings — on small
- * kernels for test speed (the bench binaries run the 32-bit paper
- * configuration).
+ * kernels for test speed (`qcarch sweep specs/fig15_arch.json`
+ * runs the 32-bit paper configuration).
  */
 
 #include <gtest/gtest.h>
 
-#include "arch/Microarch.hh"
+#include <string>
+
+#include "api/ArchModel.hh"
 #include "arch/SpeedOfData.hh"
 #include "arch/ThrottledRun.hh"
 #include "kernels/Kernels.hh"
@@ -155,31 +157,31 @@ TEST_F(ArchTest, GenerousThroughputNearsSpeedOfData)
 class MicroarchTest : public ArchTest
 {
   protected:
+    /** Run the ArchRegistry model under `key` on QRCA-8. */
     ArchRunResult
-    run(MicroarchKind kind, int k = 1, Area budget = 3000)
+    run(const std::string &key, int k = 1, Area budget = 3000)
     {
         DataflowGraph g(qrca8().lowered.circuit);
         MicroarchConfig config;
-        config.kind = kind;
         config.generatorsPerSite = k;
         config.areaBudget = budget;
         config.cacheSlots = 8;
-        return runMicroarch(g, model_, config);
+        return ArchRegistry::instance().get(key).run(g, model_, config);
     }
 };
 
 TEST_F(MicroarchTest, NamesAreStable)
 {
-    EXPECT_EQ(microarchName(MicroarchKind::Qla), "QLA");
-    EXPECT_EQ(microarchName(MicroarchKind::FullyMultiplexed),
+    EXPECT_EQ(ArchRegistry::instance().get("qla").name(), "QLA");
+    EXPECT_EQ(ArchRegistry::instance().get("fma").name(),
               "Fully-Multiplexed");
 }
 
 TEST_F(MicroarchTest, MoreGeneratorsNeverSlower)
 {
-    const ArchRunResult k1 = run(MicroarchKind::Qla, 1);
-    const ArchRunResult k4 = run(MicroarchKind::Gqla, 4);
-    const ArchRunResult k16 = run(MicroarchKind::Gqla, 16);
+    const ArchRunResult k1 = run("qla", 1);
+    const ArchRunResult k4 = run("gqla", 4);
+    const ArchRunResult k16 = run("gqla", 16);
     EXPECT_GE(k1.makespan, k4.makespan);
     EXPECT_GE(k4.makespan, k16.makespan);
     EXPECT_LT(k1.ancillaArea, k4.ancillaArea);
@@ -190,9 +192,9 @@ TEST_F(MicroarchTest, FmaBeatsQlaAtEqualArea)
     // The headline claim: at matched generation area the fully
     // multiplexed organization is much faster (shared factories
     // are never idle while QLA's per-qubit generators are).
-    const ArchRunResult qla = run(MicroarchKind::Qla, 1);
+    const ArchRunResult qla = run("qla", 1);
     const ArchRunResult fma =
-        run(MicroarchKind::FullyMultiplexed, 1, qla.ancillaArea);
+        run("fma", 1, qla.ancillaArea);
     EXPECT_LT(fma.makespan * 2, qla.makespan);
 }
 
@@ -201,9 +203,9 @@ TEST_F(MicroarchTest, CqlaPlateausAboveFma)
     // Even with lavish generator provisioning, CQLA keeps paying
     // cache misses; FMA with a huge budget approaches speed of
     // data.
-    const ArchRunResult cqla = run(MicroarchKind::Gcqla, 64);
+    const ArchRunResult cqla = run("gcqla", 64);
     const ArchRunResult fma =
-        run(MicroarchKind::FullyMultiplexed, 1, 500000);
+        run("fma", 1, 500000);
     EXPECT_GT(cqla.makespan, fma.makespan);
     EXPECT_GT(cqla.cacheMisses, 0u);
 }
@@ -212,16 +214,16 @@ TEST_F(MicroarchTest, QlaPlateauNearFmaPlateau)
 {
     // Section 5.2: QLA has no cache misses, so with enough
     // generators it plateaus within a small factor of FMA.
-    const ArchRunResult qla = run(MicroarchKind::Gqla, 64);
+    const ArchRunResult qla = run("gqla", 64);
     const ArchRunResult fma =
-        run(MicroarchKind::FullyMultiplexed, 1, 500000);
+        run("fma", 1, 500000);
     EXPECT_LT(qla.makespan, 4 * fma.makespan);
     EXPECT_GE(qla.makespan, fma.makespan);
 }
 
 TEST_F(MicroarchTest, QlaChargesTeleportsFor2qGates)
 {
-    const ArchRunResult qla = run(MicroarchKind::Qla, 1);
+    const ArchRunResult qla = run("qla", 1);
     const GateCensus census = qrca8().lowered.circuit.census();
     EXPECT_EQ(qla.teleports,
               census.of(GateKind::CX) + census.of(GateKind::CZ));
@@ -230,13 +232,13 @@ TEST_F(MicroarchTest, QlaChargesTeleportsFor2qGates)
 TEST_F(MicroarchTest, CacheMissRateFallsWithLargerCache)
 {
     DataflowGraph g(qrca8().lowered.circuit);
+    const ArchModel &cqla = ArchRegistry::instance().get("cqla");
     MicroarchConfig small;
-    small.kind = MicroarchKind::Cqla;
     small.cacheSlots = 4;
     MicroarchConfig big = small;
     big.cacheSlots = 20;
-    const auto small_run = runMicroarch(g, model_, small);
-    const auto big_run = runMicroarch(g, model_, big);
+    const auto small_run = cqla.run(g, model_, small);
+    const auto big_run = cqla.run(g, model_, big);
     EXPECT_GT(small_run.missRate(), big_run.missRate());
     EXPECT_GE(small_run.makespan, big_run.makespan);
 }
@@ -246,7 +248,7 @@ TEST_F(MicroarchTest, FmaLargerBudgetNeverSlower)
     Time last = 0;
     for (Area budget : {500.0, 2000.0, 8000.0, 64000.0}) {
         const ArchRunResult r =
-            run(MicroarchKind::FullyMultiplexed, 1, budget);
+            run("fma", 1, budget);
         if (last != 0) {
             EXPECT_LE(r.makespan, last) << "budget=" << budget;
         }
@@ -256,9 +258,9 @@ TEST_F(MicroarchTest, FmaLargerBudgetNeverSlower)
 
 TEST_F(MicroarchTest, AncillaAccountingConsistentAcrossArchs)
 {
-    const ArchRunResult qla = run(MicroarchKind::Qla, 1);
-    const ArchRunResult fma = run(MicroarchKind::FullyMultiplexed);
-    const ArchRunResult cqla = run(MicroarchKind::Cqla, 1);
+    const ArchRunResult qla = run("qla", 1);
+    const ArchRunResult fma = run("fma");
+    const ArchRunResult cqla = run("cqla", 1);
     EXPECT_EQ(qla.zerosConsumed, fma.zerosConsumed);
     EXPECT_EQ(qla.zerosConsumed, cqla.zerosConsumed);
     EXPECT_EQ(qla.pi8Consumed, fma.pi8Consumed);

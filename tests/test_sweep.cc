@@ -574,6 +574,44 @@ TEST(SweepRunners, ZeroPerMsOfAverageThrottlesRelativeToWorkload)
               points.at(0).at("zero_supply_per_ms").asDouble());
 }
 
+TEST(SweepRunners, ZeroPerMsOfAverageIsExactFractionOfSpeedOfData)
+{
+    // The Figure 8 yardstick, pinned bit for bit: each point's
+    // supply is its fraction of the workload's own speed-of-data
+    // zero bandwidth, and the point is exactly the throttled
+    // experiment at that supply.
+    const double fractions[] = {0.125, 0.75, 4.0};
+    const SweepSpec spec = SweepSpec::fromJson(parse(R"({
+      "runner": "experiment",
+      "base": {"workload": "qcla", "bits": 8,
+               "synth": {"maxSyllables": 3},
+               "schedule": "throttled"},
+      "axes": [{"field": "zeroPerMsOfAverage",
+                "values": [0.125, 0.75, 4.0]}]
+    })"));
+    const SweepReport report = runSweep(spec);
+    ASSERT_EQ(report.failed, 0u);
+    const Json &points = report.doc.at("points");
+
+    ExperimentConfig config;
+    config.workload = "qcla";
+    config.params.bits = 8;
+    config.synth.maxSyllables = 3;
+    const BandwidthPerMs average =
+        runExperiment(config).bandwidth.zeroPerMs();
+    config.schedule = ScheduleMode::Throttled;
+    for (std::size_t i = 0; i < 3; ++i) {
+        const Json &point = points.at(i);
+        config.zeroPerMs = fractions[i] * average;
+        EXPECT_EQ(point.at("zero_supply_per_ms").asDouble(),
+                  config.zeroPerMs)
+            << "fraction " << fractions[i];
+        EXPECT_EQ(point.at("makespan_ms").asDouble(),
+                  toMs(runExperiment(config).makespan))
+            << "fraction " << fractions[i];
+    }
+}
+
 TEST(SweepRunners, ZeroPerMsOfAverageRejectsNonThrottledSchedule)
 {
     // The fraction knob must not silently override a conflicting
@@ -849,18 +887,15 @@ TEST(SharedWorkload, SharedGraphResultsMatchPerPointBuilds)
          {ScheduleMode::SpeedOfData, ScheduleMode::Arch}) {
         config.schedule = schedule;
         Experiment sharedMode(config, shared);
-        Experiment workloadOnly(config, shared.workload);
         Experiment fresh(config);
-        const std::string a = sharedMode.run().toJson().dump();
-        EXPECT_EQ(a, workloadOnly.run().toJson().dump())
-            << scheduleModeName(schedule);
-        EXPECT_EQ(a, fresh.run().toJson().dump())
+        EXPECT_EQ(sharedMode.run().toJson().dump(),
+                  fresh.run().toJson().dump())
             << scheduleModeName(schedule);
     }
 }
 
 // ---------------------------------------------------------------
-// Shipped specs (single source of truth for the benches)
+// Shipped specs (single source of truth for the paper artifacts)
 // ---------------------------------------------------------------
 
 TEST(ShippedSpecs, ParseAndExpandToExpectedCounts)
@@ -878,8 +913,6 @@ TEST(ShippedSpecs, ParseAndExpandToExpectedCounts)
         {"/fig15_arch.json", 60, "experiment"},
         {"/level2_scaling.json", 12, "experiment"},
         {"/ci_smoke.json", 4, "experiment"},
-        // First half of ci_smoke, for the CI resume gate.
-        {"/ci_smoke_half.json", 2, "experiment"},
     };
     for (const auto &s : specs) {
         const SweepSpec spec =

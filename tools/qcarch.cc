@@ -75,6 +75,8 @@
  * checkpoint written, 42 injected fault fired.
  */
 
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -364,6 +366,7 @@ cmdSweep(std::vector<std::string> args)
     // point is durably checkpointed when --checkpoint-seconds is
     // small enough.
     std::size_t executedSoFar = 0;
+    const bool stderrIsTty = isatty(STDERR_FILENO) != 0;
     options.progress = [&](const SweepProgress &p) {
         if (!p.cached && !p.resumed && !p.hoarded) {
             ++executedSoFar;
@@ -371,16 +374,23 @@ cmdSweep(std::vector<std::string> args)
         }
         if (quiet)
             return;
-        // \x1b[K erases the tail of the previous (possibly
-        // longer) progress line after the carriage return.
-        std::cerr << "\r[" << p.done << "/" << p.total << "] "
-                  << p.point->assignment.dump(0)
+        // Piped into a log, print a plain line every tenth of the
+        // sweep and at its end rather than a redrawn line.
+        const bool last = p.done == p.total;
+        if (!stderrIsTty && p.done % ((p.total + 9) / 10) != 0
+            && !last)
+            return;
+        std::cerr << (stderrIsTty ? "\r[" : "[") << p.done << "/"
+                  << p.total << "] " << p.point->assignment.dump(0)
                   << (p.cached ? " (cached)"
                       : p.resumed ? " (resumed)"
                       : p.hoarded ? " (hoard)"
-                                  : "")
-                  << "\x1b[K" << (p.done == p.total ? "\n" : "")
-                  << std::flush;
+                                  : "");
+        // \x1b[K erases the tail of the previous (possibly
+        // longer) progress line after the carriage return.
+        if (stderrIsTty)
+            std::cerr << "\x1b[K";
+        std::cerr << (!stderrIsTty || last ? "\n" : "") << std::flush;
     };
 
     installStopHandlers();
