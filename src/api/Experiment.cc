@@ -220,7 +220,7 @@ ExperimentConfig::hash() const
 std::string
 ExperimentConfig::workloadKey() const
 {
-    // Exactly the fields Experiment::run(variant) checks: configs
+    // Experiment::run(variant) compares these keys: configs
     // differing only elsewhere may share one built workload.
     Json j = Json::object();
     j.set("workload", workload);
@@ -529,17 +529,7 @@ Result
 Experiment::run(const ExperimentConfig &variant)
 {
     ConcatenatedSteane::validateLevel(variant.codeLevel);
-    if (variant.workload != config_.workload
-        || variant.params.bits != config_.params.bits
-        || variant.params.lowering.maxRotK
-            != config_.params.lowering.maxRotK
-        || variant.params.qft.maxK != config_.params.qft.maxK
-        || variant.params.qft.withSwaps
-            != config_.params.qft.withSwaps
-        || variant.synth.maxSyllables != config_.synth.maxSyllables
-        || variant.synth.maxError != config_.synth.maxError
-        || variant.synth.pureHT != config_.synth.pureHT
-        || variant.synth.tCostWeight != config_.synth.tCostWeight) {
+    if (variant.workloadKey() != config_.workloadKey()) {
         throw std::invalid_argument(
             "Experiment::run(variant): variant describes a "
             "different workload than the cached one (\""

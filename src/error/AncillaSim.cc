@@ -2,7 +2,6 @@
 
 #include "codes/SteaneCode.hh"
 #include "common/Logging.hh"
-#include "error/BatchAncillaSim.hh"
 
 namespace qc {
 
@@ -390,14 +389,6 @@ AncillaPrepSimulator::simulateOnce(ZeroPrepStrategy strategy)
 }
 
 PrepEstimate
-AncillaPrepSimulator::estimate(ZeroPrepStrategy strategy,
-                               std::uint64_t trials)
-{
-    BatchAncillaSim batch(errors_, movement_, rng_(), semantics_);
-    return batch.estimate(strategy, trials);
-}
-
-PrepEstimate
 AncillaPrepSimulator::estimateScalar(ZeroPrepStrategy strategy,
                                      std::uint64_t trials)
 {
@@ -488,13 +479,6 @@ AncillaPrepSimulator::simulatePi8Once()
     PrepOutcome out = classify(blockA);
     out.discarded = verifyFailures_ != fails_before;
     return out;
-}
-
-PrepEstimate
-AncillaPrepSimulator::estimatePi8(std::uint64_t trials)
-{
-    BatchAncillaSim batch(errors_, movement_, rng_(), semantics_);
-    return batch.estimatePi8(trials);
 }
 
 PrepEstimate

@@ -130,19 +130,10 @@ class AncillaPrepSimulator
     PrepOutcome simulateOnce(ZeroPrepStrategy strategy);
 
     /**
-     * Run many trials and aggregate. Delegates to the bit-parallel
-     * batched engine (BatchAncillaSim), which advances 64+ trials
-     * per word op; the run seed is drawn from this simulator's RNG
-     * stream so successive calls are independent but a fixed
-     * construction seed reproduces the same sequence.
-     */
-    PrepEstimate estimate(ZeroPrepStrategy strategy,
-                          std::uint64_t trials);
-
-    /**
-     * Scalar reference version of estimate(): one simulateOnce call
-     * per trial. Kept for cross-validation of the batched engine
-     * and for microbenchmark baselines.
+     * Run many trials and aggregate, one simulateOnce call per
+     * trial: the scalar reference for the bit-parallel production
+     * engine (BatchAncillaSim::estimate), kept for cross-validation
+     * and for the engine's throughput baseline.
      */
     PrepEstimate estimateScalar(ZeroPrepStrategy strategy,
                                 std::uint64_t trials);
@@ -155,10 +146,7 @@ class AncillaPrepSimulator
      */
     PrepOutcome simulatePi8Once();
 
-    /** Aggregate pi/8 conversion failure rate (batched engine). */
-    PrepEstimate estimatePi8(std::uint64_t trials);
-
-    /** Scalar reference version of estimatePi8(). */
+    /** Scalar reference for BatchAncillaSim::estimatePi8. */
     PrepEstimate estimateScalarPi8(std::uint64_t trials);
 
     /**

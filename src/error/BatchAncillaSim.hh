@@ -2,8 +2,7 @@
  * @file
  * Batched (bit-parallel) Monte Carlo estimation of the encoded-zero
  * ancilla preparation strategies and the pi/8 conversion: the
- * 64-trials-per-word-op production engine behind
- * AncillaPrepSimulator::estimate / estimatePi8.
+ * 64-trials-per-word-op production engine.
  *
  * Semantics match the scalar reference (AncillaPrepSimulator::
  * simulateOnce) trial-for-trial in distribution: the same circuits,
@@ -81,11 +80,12 @@ class BatchAncillaSim
                         CorrectionSemantics::DiscardOnSyndrome,
                     BatchSimConfig config = {});
 
-    /** Batched equivalent of AncillaPrepSimulator::estimate. */
+    /** Batched equivalent of AncillaPrepSimulator::estimateScalar. */
     PrepEstimate estimate(ZeroPrepStrategy strategy,
                           std::uint64_t trials);
 
-    /** Batched equivalent of AncillaPrepSimulator::estimatePi8. */
+    /** Batched equivalent of
+     *  AncillaPrepSimulator::estimateScalarPi8. */
     PrepEstimate estimatePi8(std::uint64_t trials);
 
     /**

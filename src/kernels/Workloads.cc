@@ -9,38 +9,39 @@
 
 #include "api/Workload.hh"
 
-#include "kernels/Kernels.hh"
+#include "kernels/Adders.hh"
 #include "kernels/Synthetic.hh"
 
 namespace qc {
 
 namespace {
 
-/** Wrap a paper benchmark kind as a workload builder. */
-WorkloadBuilder
-paperKernel(BenchmarkKind kind)
+/** Lower an already-built circuit into a Workload named `name`. */
+Workload
+lowerWorkload(std::string name, Circuit circuit, FowlerSynth &synth,
+              const WorkloadParams &params)
 {
-    return [kind](FowlerSynth &synth, const WorkloadParams &params) {
-        BenchmarkOptions options;
-        options.bits = params.bits;
-        options.lowering = params.lowering;
-        options.qft = params.qft;
-        Benchmark bench = makeBenchmark(kind, synth, options);
-        return Workload{"", bench.name, std::move(bench.highLevel),
-                        std::move(bench.lowered)};
-    };
+    Lowered lowered =
+        lowerToFaultTolerant(circuit, synth, params.lowering);
+    return Workload{"", std::move(name), std::move(circuit),
+                    std::move(lowered)};
 }
 
-/** Lower an already-built synthetic circuit into a Workload. */
+/** Display name matching the paper's tables ("32-Bit QRCA"). */
+std::string
+paperName(const WorkloadParams &params, const char *kernel)
+{
+    return std::to_string(params.bits) + "-Bit " + kernel;
+}
+
+/** Lower a synthetic circuit under its own name. */
 Workload
 lowerSynthetic(Circuit circuit, FowlerSynth &synth,
                const WorkloadParams &params)
 {
-    Lowered lowered =
-        lowerToFaultTolerant(circuit, synth, params.lowering);
     std::string name = circuit.name();
-    return Workload{"", std::move(name), std::move(circuit),
-                    std::move(lowered)};
+    return lowerWorkload(std::move(name), std::move(circuit), synth,
+                         params);
 }
 
 } // namespace
@@ -48,18 +49,33 @@ lowerSynthetic(Circuit circuit, FowlerSynth &synth,
 void
 registerKernelWorkloads(WorkloadRegistry &registry)
 {
-    registry.add("qrca",
-                 "32-bit-style Quantum Ripple-Carry Adder "
-                 "(serial; paper Table 3's low-bandwidth kernel)",
-                 paperKernel(BenchmarkKind::Qrca));
-    registry.add("qcla",
-                 "Quantum Carry-Lookahead Adder (parallel; the "
-                 "paper's high-bandwidth adder)",
-                 paperKernel(BenchmarkKind::Qcla));
-    registry.add("qft",
-                 "Quantum Fourier Transform with Fowler-synthesized "
-                 "rotation words (Section 2.5)",
-                 paperKernel(BenchmarkKind::Qft));
+    registry.add(
+        "qrca",
+        "32-bit-style Quantum Ripple-Carry Adder "
+        "(serial; paper Table 3's low-bandwidth kernel)",
+        [](FowlerSynth &synth, const WorkloadParams &params) {
+            return lowerWorkload(paperName(params, "QRCA"),
+                                 makeQrca(params.bits).circuit, synth,
+                                 params);
+        });
+    registry.add(
+        "qcla",
+        "Quantum Carry-Lookahead Adder (parallel; the "
+        "paper's high-bandwidth adder)",
+        [](FowlerSynth &synth, const WorkloadParams &params) {
+            return lowerWorkload(paperName(params, "QCLA"),
+                                 makeQcla(params.bits).circuit, synth,
+                                 params);
+        });
+    registry.add(
+        "qft",
+        "Quantum Fourier Transform with Fowler-synthesized "
+        "rotation words (Section 2.5)",
+        [](FowlerSynth &synth, const WorkloadParams &params) {
+            return lowerWorkload(paperName(params, "QFT"),
+                                 makeQft(params.bits, params.qft),
+                                 synth, params);
+        });
     registry.add(
         "chain",
         "synthetic fully-serial 1-qubit H/T chain of `bits` gates "

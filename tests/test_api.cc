@@ -12,13 +12,14 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "api/Qc.hh"
 #include "arch/Microarch.hh"
 #include "arch/SpeedOfData.hh"
 #include "arch/ThrottledRun.hh"
 #include "circuit/Dataflow.hh"
-#include "kernels/Kernels.hh"
+#include "kernels/Adders.hh"
 #include "kernels/Synthetic.hh"
 
 namespace qc {
@@ -411,30 +412,29 @@ class ExperimentParity : public ::testing::Test
         return config;
     }
 
-    /** The pre-redesign wiring every bench used to carry. */
-    static Benchmark
-    handWired(BenchmarkKind kind, int bits)
+    /** Lower a kernel by hand, so the parity checks do not share
+     *  the workload registry's construction path. */
+    static Lowered
+    handWired(const Circuit &kernel)
     {
         static FowlerSynth synth(
             ExperimentConfig::paper("qrca").synth);
-        BenchmarkOptions opts;
-        opts.bits = bits;
-        return makeBenchmark(kind, synth, opts);
+        return lowerToFaultTolerant(kernel, synth);
     }
 };
 
 TEST_F(ExperimentParity, AdderSpeedOfDataIsBitIdentical)
 {
-    const Benchmark old = handWired(BenchmarkKind::Qrca, 8);
+    const Lowered old = handWired(makeQrca(8).circuit);
     const EncodedOpModel model(IonTrapParams::paper());
-    const DataflowGraph graph(old.lowered.circuit);
+    const DataflowGraph graph(old.circuit);
     const LatencySplit split = latencySplit(graph, model);
     const BandwidthSummary bw = bandwidthAtSpeedOfData(graph, model);
 
     const Result result =
         runExperiment(paperConfig("qrca", 8));
-    EXPECT_EQ(result.workload, old.name);
-    EXPECT_EQ(result.gates, old.lowered.circuit.census().total);
+    EXPECT_EQ(result.workload, "8-Bit QRCA");
+    EXPECT_EQ(result.gates, old.circuit.census().total);
     EXPECT_EQ(result.split.dataOp, split.dataOp);
     EXPECT_EQ(result.split.qecInteract, split.qecInteract);
     EXPECT_EQ(result.split.ancillaPrep, split.ancillaPrep);
@@ -445,9 +445,9 @@ TEST_F(ExperimentParity, AdderSpeedOfDataIsBitIdentical)
 
 TEST_F(ExperimentParity, AdderThrottledIsBitIdentical)
 {
-    const Benchmark old = handWired(BenchmarkKind::Qrca, 8);
+    const Lowered old = handWired(makeQrca(8).circuit);
     const EncodedOpModel model(IonTrapParams::paper());
-    const DataflowGraph graph(old.lowered.circuit);
+    const DataflowGraph graph(old.circuit);
 
     ExperimentConfig config = paperConfig("qrca", 8);
     config.schedule = ScheduleMode::Throttled;
@@ -463,9 +463,9 @@ TEST_F(ExperimentParity, AdderThrottledIsBitIdentical)
 
 TEST_F(ExperimentParity, QftArchRunIsBitIdentical)
 {
-    const Benchmark old = handWired(BenchmarkKind::Qft, 8);
+    const Lowered old = handWired(makeQft(8));
     const EncodedOpModel model(IonTrapParams::paper());
-    const DataflowGraph graph(old.lowered.circuit);
+    const DataflowGraph graph(old.circuit);
 
     ExperimentConfig config = paperConfig("qft", 8);
     config.schedule = ScheduleMode::Arch;
@@ -660,15 +660,51 @@ TEST(Experiment, VariantMustDescribeSameWorkload)
     config.params.bits = 6;
     Experiment experiment(config);
 
-    ExperimentConfig other = config;
-    other.workload = "ladder";
-    EXPECT_THROW(experiment.run(other), std::invalid_argument);
+    using Edit = void (*)(ExperimentConfig &);
+    // Every workloadKey() field names a different workload.
+    const std::pair<const char *, Edit> workload_fields[] = {
+        {"workload", [](ExperimentConfig &c) { c.workload = "ladder"; }},
+        {"bits", [](ExperimentConfig &c) { c.params.bits = 7; }},
+        {"maxRotK",
+         [](ExperimentConfig &c) { c.params.lowering.maxRotK = 4; }},
+        {"qftMaxK", [](ExperimentConfig &c) { c.params.qft.maxK = 3; }},
+        {"qftWithSwaps",
+         [](ExperimentConfig &c) { c.params.qft.withSwaps = false; }},
+        {"maxSyllables",
+         [](ExperimentConfig &c) { c.synth.maxSyllables = 5; }},
+        {"maxError", [](ExperimentConfig &c) { c.synth.maxError = 2e-3; }},
+        {"pureHT", [](ExperimentConfig &c) { c.synth.pureHT = true; }},
+        {"tCostWeight",
+         [](ExperimentConfig &c) { c.synth.tCostWeight = 3; }},
+    };
+    for (const auto &[field, edit] : workload_fields) {
+        ExperimentConfig other = config;
+        edit(other);
+        EXPECT_THROW(experiment.run(other), std::invalid_argument)
+            << field;
+    }
 
-    // Schedule knobs may differ freely.
-    ExperimentConfig throttled = config;
-    throttled.schedule = ScheduleMode::Throttled;
-    throttled.zeroPerMs = 50.0;
-    EXPECT_NO_THROW(experiment.run(throttled));
+    // Schedule and code-level knobs may differ freely.
+    const std::pair<const char *, Edit> run_fields[] = {
+        {"throttled",
+         [](ExperimentConfig &c) {
+             c.schedule = ScheduleMode::Throttled;
+             c.zeroPerMs = 50.0;
+         }},
+        {"arch",
+         [](ExperimentConfig &c) {
+             c.schedule = ScheduleMode::Arch;
+             c.arch = "qla";
+         }},
+        {"codeLevel", [](ExperimentConfig &c) { c.codeLevel = 2; }},
+        {"pGate", [](ExperimentConfig &c) { c.errors.pGate = 1e-5; }},
+        {"t2q", [](ExperimentConfig &c) { c.tech.t2q = usec(20); }},
+    };
+    for (const auto &[field, edit] : run_fields) {
+        ExperimentConfig other = config;
+        edit(other);
+        EXPECT_NO_THROW(experiment.run(other)) << field;
+    }
 }
 
 TEST(Experiment, TimeLimitCutsThrottledRunShort)

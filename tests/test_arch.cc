@@ -12,9 +12,9 @@
 #include <string>
 
 #include "api/ArchModel.hh"
+#include "api/Workload.hh"
 #include "arch/SpeedOfData.hh"
 #include "arch/ThrottledRun.hh"
-#include "kernels/Kernels.hh"
 
 namespace qc {
 namespace {
@@ -22,18 +22,17 @@ namespace {
 class ArchTest : public ::testing::Test
 {
   protected:
-    static const Benchmark &
+    static const Workload &
     qrca8()
     {
         static FowlerSynth synth;
-        static BenchmarkOptions opts = [] {
-            BenchmarkOptions o;
-            o.bits = 8;
-            return o;
+        static const Workload w = [] {
+            WorkloadParams params;
+            params.bits = 8;
+            return WorkloadRegistry::instance().build("qrca", synth,
+                                                      params);
         }();
-        static Benchmark b =
-            makeBenchmark(BenchmarkKind::Qrca, synth, opts);
-        return b;
+        return w;
     }
 
     EncodedOpModel model_{IonTrapParams::paper()};

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "codes/ConcatenatedCode.hh"
+#include "common/Rng.hh"
 #include "error/AncillaSim.hh"
+#include "error/BatchAncillaSim.hh"
 #include "error/PauliFrame.hh"
 #include "error/RecursiveError.hh"
 
@@ -144,9 +146,8 @@ class Fig4Test : public ::testing::Test
         CorrectionSemantics semantics =
             CorrectionSemantics::DiscardOnSyndrome)
     {
-        AncillaPrepSimulator sim(ErrorParams::paper(),
-                                 MovementModel{}, 0xf16f4,
-                                 semantics);
+        BatchAncillaSim sim(ErrorParams::paper(), MovementModel{},
+                            Rng(0xf16f4)(), semantics);
         return sim.estimate(strategy, trials);
     }
 };
@@ -156,11 +157,12 @@ TEST_F(Fig4Test, ZeroNoiseMeansZeroErrors)
     ErrorParams clean;
     clean.pGate = 0;
     clean.pMove = 0;
-    AncillaPrepSimulator sim(clean, MovementModel{}, 1);
+    Rng seeds(1);
     for (auto strat :
          {ZeroPrepStrategy::Basic, ZeroPrepStrategy::VerifyOnly,
           ZeroPrepStrategy::CorrectOnly,
           ZeroPrepStrategy::VerifyAndCorrect}) {
+        BatchAncillaSim sim(clean, MovementModel{}, seeds());
         const PrepEstimate est = sim.estimate(strat, 2000);
         EXPECT_EQ(est.failures, 0u) << zeroPrepStrategyName(strat);
         EXPECT_EQ(est.discards, 0u);
@@ -272,9 +274,9 @@ TEST_F(Fig4Test, MovementErrorsAreSecondOrderEffect)
     // rate by more than ~30%.
     ErrorParams no_move = ErrorParams::paper();
     no_move.pMove = 0;
-    AncillaPrepSimulator with(ErrorParams::paper(), MovementModel{},
-                              77);
-    AncillaPrepSimulator without(no_move, MovementModel{}, 77);
+    BatchAncillaSim with(ErrorParams::paper(), MovementModel{},
+                         Rng(77)());
+    BatchAncillaSim without(no_move, MovementModel{}, Rng(77)());
     const double a =
         with.estimate(ZeroPrepStrategy::Basic, 400000).errorRate();
     const double b =
@@ -284,8 +286,8 @@ TEST_F(Fig4Test, MovementErrorsAreSecondOrderEffect)
 
 TEST_F(Fig4Test, Pi8ConversionErrorRateBounded)
 {
-    AncillaPrepSimulator sim(ErrorParams::paper(), MovementModel{},
-                             123);
+    BatchAncillaSim sim(ErrorParams::paper(), MovementModel{},
+                        Rng(123)());
     const PrepEstimate est = sim.estimatePi8(100000);
     // The conversion adds a cat interaction and decode on top of a
     // verified+corrected zero: still far below the basic rate.
@@ -304,9 +306,9 @@ TEST_F(Fig4Test, HigherGateErrorRaisesOutputError)
 {
     ErrorParams noisy = ErrorParams::paper();
     noisy.pGate = 1e-3;
-    AncillaPrepSimulator base(ErrorParams::paper(), MovementModel{},
-                              9);
-    AncillaPrepSimulator hot(noisy, MovementModel{}, 9);
+    BatchAncillaSim base(ErrorParams::paper(), MovementModel{},
+                         Rng(9)());
+    BatchAncillaSim hot(noisy, MovementModel{}, Rng(9)());
     const double a =
         base.estimate(ZeroPrepStrategy::Basic, 100000).errorRate();
     const double b =

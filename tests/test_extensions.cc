@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "api/Workload.hh"
 #include "arch/QalypsoTile.hh"
 #include "arch/SpeedOfData.hh"
 #include "circuit/Dataflow.hh"
 #include "factory/FarmSim.hh"
-#include "kernels/Kernels.hh"
 #include "sim/TokenPool.hh"
 
 namespace qc {
@@ -132,18 +132,17 @@ TEST_F(FarmSimTest, LowerAcceptanceLowersThroughput)
 class QalypsoTileTest : public ::testing::Test
 {
   protected:
-    static const Benchmark &
+    static const Workload &
     qrca8()
     {
         static FowlerSynth synth;
-        static BenchmarkOptions opts = [] {
-            BenchmarkOptions o;
-            o.bits = 8;
-            return o;
+        static const Workload w = [] {
+            WorkloadParams params;
+            params.bits = 8;
+            return WorkloadRegistry::instance().build("qrca", synth,
+                                                      params);
         }();
-        static Benchmark b =
-            makeBenchmark(BenchmarkKind::Qrca, synth, opts);
-        return b;
+        return w;
     }
 
     EncodedOpModel model_{IonTrapParams::paper()};

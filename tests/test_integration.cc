@@ -12,6 +12,8 @@
 #include "api/Qc.hh"
 #include "arch/ThrottledRun.hh"
 #include "circuit/Dataflow.hh"
+#include "common/Rng.hh"
+#include "error/BatchAncillaSim.hh"
 #include "layout/Builders.hh"
 
 namespace qc {
@@ -89,7 +91,7 @@ TEST_F(IntegrationTest, LayoutCalibratedMonteCarloStaysInBand)
     // must remain within the Figure 4 band.
     const MovementModel moves = calibrateMovement(
         buildSimpleFactory(), IonTrapParams::paper());
-    AncillaPrepSimulator sim(ErrorParams::paper(), moves, 4242);
+    BatchAncillaSim sim(ErrorParams::paper(), moves, Rng(4242)());
     const PrepEstimate est =
         sim.estimate(ZeroPrepStrategy::Basic, 200000);
     EXPECT_GT(est.errorRate(), 1e-4);

@@ -155,29 +155,5 @@ TEST(RateTokenPool, ZeroClaimIsFree)
     EXPECT_EQ(pool.issued(), 0u);
 }
 
-TEST(BankTokenPool, SingleProducerSerializes)
-{
-    BankTokenPool bank(1, usec(323));
-    EXPECT_EQ(bank.claim(1), usec(323));
-    EXPECT_EQ(bank.claim(1), usec(646));
-    EXPECT_EQ(bank.claim(2), usec(323) * 4);
-}
-
-TEST(BankTokenPool, ParallelProducersBatch)
-{
-    BankTokenPool bank(3, usec(100));
-    // First three tokens in the first period, next three in the
-    // second.
-    EXPECT_EQ(bank.claim(3), usec(100));
-    EXPECT_EQ(bank.claim(1), usec(200));
-    EXPECT_EQ(bank.claim(2), usec(200));
-    EXPECT_EQ(bank.claim(1), usec(300));
-}
-
-TEST(BankTokenPoolDeath, RejectsBadParameters)
-{
-    EXPECT_DEATH(BankTokenPool(0, usec(1)), "bad parameters");
-}
-
 } // namespace
 } // namespace qc
