@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <vector>
 
 #include "common/Logging.hh"
 
@@ -38,6 +39,17 @@ class LoweringPass
         : synth_(synth), opts_(options),
           out_(input.numQubits(), input.name() + ".ft")
     {
+        // Synthesize every rotation word the pass will emit in one
+        // search pass rather than one per angle.
+        std::vector<int> ks;
+        for (const Gate &g : input.gates()) {
+            if (g.kind == GateKind::RotZ && !elided(g.param))
+                ks.push_back(g.param);
+            if (g.kind == GateKind::CRotZ && g.param != 0 &&
+                !elided(g.param))
+                ks.push_back(halfAngle(g.param));
+        }
+        synth_.prepare(ks);
         for (const Gate &g : input.gates())
             lowerGate(g);
     }
@@ -50,9 +62,22 @@ class LoweringPass
 
   private:
     bool
+    elided(int k) const
+    {
+        return opts_.maxRotK > 0 && std::abs(k) > opts_.maxRotK;
+    }
+
+    /** Exponent of the rotations that decompose CRotZ(k), k != 0. */
+    static int
+    halfAngle(int k)
+    {
+        return k > 0 ? k + 1 : k - 1;
+    }
+
+    bool
     elideRot(int k)
     {
-        if (opts_.maxRotK > 0 && std::abs(k) > opts_.maxRotK) {
+        if (elided(k)) {
             ++stats_.elided;
             stats_.elidedAngleSum += M_PI / std::ldexp(1.0, std::abs(k));
             return true;
@@ -96,7 +121,7 @@ class LoweringPass
         }
         // CPhase(theta) = P(theta/2)_c P(theta/2)_t CX
         //                 P(-theta/2)_t CX, with theta = pi/2^k.
-        const int half = k > 0 ? k + 1 : k - 1;
+        const int half = halfAngle(k);
         emitRotZ(control, half);
         emitRotZ(target, half);
         out_.cx(control, target);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <set>
+#include <stdexcept>
 
 #include "common/Logging.hh"
 
@@ -9,9 +12,12 @@ namespace qc {
 
 namespace {
 
-/** Decomposition of T^a (a in [0,7]) over {T, S, Z, Sdg, Tdg}. */
-const std::vector<GateKind> &
-tPowerGates(int a)
+/**
+ * Decomposition of T^a (a in [0,7]): a literal T gates, or the
+ * compressed form over {T, S, Z, Sdg, Tdg}.
+ */
+std::vector<GateKind>
+tPowerGates(int a, bool pure_ht)
 {
     static const std::vector<GateKind> table[8] = {
         {},
@@ -23,21 +29,7 @@ tPowerGates(int a)
         {GateKind::Sdg},
         {GateKind::Tdg},
     };
-    return table[a];
-}
-
-/** Weighted cost of the decomposition of T^a. */
-int
-tPowerCost(int a, bool pure_ht, int t_weight)
-{
-    if (pure_ht)
-        return a * t_weight;
-    int cost = 0;
-    for (GateKind g : tPowerGates(a)) {
-        cost += (g == GateKind::T || g == GateKind::Tdg) ? t_weight
-                                                         : 1;
-    }
-    return cost;
+    return pure_ht ? std::vector<GateKind>(a, GateKind::T) : table[a];
 }
 
 GateKind
@@ -72,102 +64,95 @@ matrixOf(GateKind kind)
     }
 }
 
-/** DFS state shared across the recursion. */
+/**
+ * A word's exponents a0, a1, ..., as packed 3 bits each, a0 lowest,
+ * under a marker bit that gives the length. maxSyllables <= 9 keeps
+ * it within 31 bits.
+ */
+using PackedWord = std::uint32_t;
+
+/** A candidate answer for one target. */
+struct Step
+{
+    int cost;
+    double err;
+    PackedWord word;
+};
+
+/**
+ * Keep a word in a target's staircase: the words sorted by cost
+ * ascending, error strictly falling, that may still be its answer.
+ * A word is dropped when an entry with cost and error both no higher
+ * exists, since that entry came first in DFS order, so no threshold
+ * makes the word the lowest (cost, error, order) one within it.
+ */
+void
+offer(std::vector<Step> &stair, int cost, double err, PackedWord word)
+{
+    for (const Step &s : stair) {
+        if (s.cost > cost)
+            break;
+        if (s.err <= err)
+            return;
+    }
+    std::erase_if(stair, [&](const Step &s) {
+        return s.cost >= cost && s.err >= err;
+    });
+    stair.insert(std::find_if(stair.begin(), stair.end(),
+                              [&](const Step &s) { return s.cost > cost; }),
+                 {cost, err, word});
+}
+
+/** DFS over the word space, scoring every node against all targets. */
 struct SearchCtx
 {
-    const Su2 *target;
-    double maxError;
+    std::span<const Su2> targets;
+    std::vector<std::vector<Step>> &stairs;
     int maxSyllables;
-    bool pureHT;
-    int tWeight;
+    /** Weighted cost of the decomposition of T^a. */
+    int tCost[8] = {};
+    Su2 tMat = Su2::tGate();
+    Su2 hMat = Su2::hGate();
 
-    // Best-so-far.
-    double bestError = 2.0;
-    int bestCost = 1 << 30;
-    std::vector<std::uint8_t> bestWord; // a0, a1, ..., as
-    bool found = false;
-
-    // Current path of syllable exponents.
-    std::vector<std::uint8_t> word;
-
+    /**
+     * Score every word that appends exponent a to `prefix` at index
+     * `depth`, then recurse with an "H T^a" syllable. Index 0 is the
+     * leading T^{a0}, where a0 = 0 is the empty word; deeper, a = 0
+     * (a trailing H) is not extended, since that would merge two H's.
+     * `m` and `cost` are the unitary (later gates on left) and cost
+     * of the word up to this exponent.
+     */
     void
-    consider(const Su2 &m, int cost)
+    extend(const Su2 &m, int cost, PackedWord prefix, int depth)
     {
-        const double err = m.distTo(*target);
-        const bool ok = err <= maxError;
-        if (found) {
-            // Among acceptable words prefer lower cost, then error.
-            if (ok && (cost < bestCost ||
-                       (cost == bestCost && err < bestError))) {
-                bestCost = cost;
-                bestError = err;
-                bestWord = word;
+        const int shift = 3 * depth;
+        Su2 cur = m;
+        for (int a = 0; a <= 7; ++a) {
+            if (a > 0)
+                cur = tMat * cur;
+            const PackedWord word =
+                prefix | static_cast<PackedWord>(a) << shift;
+            const int c = cost + tCost[a];
+            for (std::size_t i = 0; i < targets.size(); ++i) {
+                offer(stairs[i], c, cur.distTo(targets[i]),
+                      word | PackedWord{1} << (shift + 3));
             }
-        } else if (ok) {
-            found = true;
-            bestCost = cost;
-            bestError = err;
-            bestWord = word;
-        } else if (err < bestError) {
-            // Track the closest miss as a fallback answer.
-            bestError = err;
-            bestCost = cost;
-            bestWord = word;
+            if ((a > 0 || depth == 0) && depth < maxSyllables)
+                extend(hMat * cur, c + 1, word, depth + 1);
         }
     }
 };
 
-/**
- * Recursively extend the word with "H T^a" syllables.
- *
- * @param ctx       search state
- * @param m         unitary of the word so far (later gates on left)
- * @param cost      decomposed gate count of the word so far
- * @param depth     syllables consumed so far
- */
-void
-extend(SearchCtx &ctx, const Su2 &m, int cost, int depth)
-{
-    if (depth >= ctx.maxSyllables)
-        return;
-    const Su2 afterH = Su2::hGate() * m;
-    const Su2 tMat = Su2::tGate();
-
-    ctx.word.push_back(0);
-    // a = 0 is only meaningful as a final syllable (a trailing H);
-    // deeper syllables with a = 0 would merge two H's.
-    ctx.consider(afterH, cost + 1);
-
-    Su2 cur = afterH;
-    for (int a = 1; a <= 7; ++a) {
-        cur = tMat * cur;
-        ctx.word.back() = static_cast<std::uint8_t>(a);
-        const int c = cost + 1 + tPowerCost(a, ctx.pureHT,
-                                            ctx.tWeight);
-        ctx.consider(cur, c);
-        extend(ctx, cur, c, depth + 1);
-    }
-    ctx.word.pop_back();
-}
-
 ApproxSequence
-wordToSequence(const std::vector<std::uint8_t> &word, double error,
-               bool pure_ht)
+wordToSequence(PackedWord word, double error, bool pure_ht)
 {
     ApproxSequence seq;
     seq.error = error;
-    bool first = true;
-    for (std::uint8_t a : word) {
+    for (bool first = true; word != 1; word >>= 3, first = false) {
         if (!first)
             seq.gates.push_back(GateKind::H);
-        if (pure_ht) {
-            seq.gates.insert(seq.gates.end(), a, GateKind::T);
-        } else {
-            const auto &gates = tPowerGates(a);
-            seq.gates.insert(seq.gates.end(), gates.begin(),
-                             gates.end());
-        }
-        first = false;
+        const auto gates = tPowerGates(static_cast<int>(word & 7), pure_ht);
+        seq.gates.insert(seq.gates.end(), gates.begin(), gates.end());
     }
     return seq;
 }
@@ -206,46 +191,61 @@ ApproxSequence::inverted() const
 FowlerSynth::FowlerSynth(Options options) : opts_(options)
 {
     if (opts_.maxSyllables < 1 || opts_.maxSyllables > 9)
-        fatal("FowlerSynth: maxSyllables must be in [1, 9]");
+        throw std::invalid_argument(
+            "FowlerSynth: maxSyllables must be in [1, 9]");
+    // Bounds the word cost, (maxSyllables + 1) * (1 + 7 * |weight|),
+    // well inside int.
+    if (opts_.tCostWeight < -1000000 || opts_.tCostWeight > 1000000)
+        throw std::invalid_argument(
+            "FowlerSynth: tCostWeight must be in [-1e6, 1e6]");
+}
+
+std::vector<ApproxSequence>
+FowlerSynth::search(std::span<const Su2> targets) const
+{
+    if (targets.empty())
+        return {};
+    std::vector<std::vector<Step>> stairs(targets.size());
+    SearchCtx ctx{targets, stairs, opts_.maxSyllables};
+    for (int a = 0; a <= 7; ++a) {
+        const ApproxSequence power{tPowerGates(a, opts_.pureHT)};
+        ctx.tCost[a] = power.size() + (opts_.tCostWeight - 1) * power.tCount();
+    }
+    ctx.extend(Su2::identity(), 0, 0, 0);
+
+    std::vector<ApproxSequence> out;
+    for (const std::vector<Step> &stair : stairs) {
+        const double best = stair.back().err;
+        const double thr = best <= opts_.maxError ? opts_.maxError
+                                                  : best * 1.02 + 1e-15;
+        const Step &pick = *std::find_if(
+            stair.begin(), stair.end(),
+            [&](const Step &s) { return s.err <= thr; });
+        out.push_back(wordToSequence(pick.word, pick.err, opts_.pureHT));
+    }
+    return out;
 }
 
 ApproxSequence
 FowlerSynth::search(const Su2 &target) const
 {
-    auto run_dfs = [&](double max_error) {
-        SearchCtx ctx;
-        ctx.target = &target;
-        ctx.maxError = max_error;
-        ctx.maxSyllables = opts_.maxSyllables;
-        ctx.pureHT = opts_.pureHT;
-        ctx.tWeight = opts_.tCostWeight;
+    return std::move(search(std::span(&target, 1)).front());
+}
 
-        // Leading T^{a0} syllable (no H before it), a0 = 0 meaning
-        // the empty word.
-        const Su2 tMat = Su2::tGate();
-        Su2 cur = Su2::identity();
-        for (int a0 = 0; a0 <= 7; ++a0) {
-            if (a0 > 0)
-                cur = tMat * cur;
-            ctx.word.assign(1, static_cast<std::uint8_t>(a0));
-            const int cost =
-                tPowerCost(a0, opts_.pureHT, opts_.tCostWeight);
-            ctx.consider(cur, cost);
-            extend(ctx, cur, cost, 0);
-        }
-        return ctx;
-    };
-
-    SearchCtx ctx = run_dfs(opts_.maxError);
-    if (!ctx.found) {
-        // The tolerance is unreachable at this depth. Re-search for
-        // the cheapest word within a tight (2%) band of the best
-        // achievable error, so the cost objective (and in
-        // particular the T weight) still selects among the words of
-        // essentially optimal fidelity.
-        ctx = run_dfs(ctx.bestError * 1.02 + 1e-15);
+void
+FowlerSynth::prepare(std::span<const int> ks)
+{
+    std::set<int> mags;
+    for (int k : ks) {
+        if (std::abs(k) >= 3 && !cache_.contains(std::abs(k)))
+            mags.insert(std::abs(k));
     }
-    return wordToSequence(ctx.bestWord, ctx.bestError, opts_.pureHT);
+    std::vector<Su2> targets;
+    for (int mag : mags)
+        targets.push_back(Su2::rotZ(mag));
+    auto mag = mags.begin();
+    for (ApproxSequence &seq : search(targets))
+        cache_.emplace(*mag++, std::move(seq));
 }
 
 const ApproxSequence &

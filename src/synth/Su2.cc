@@ -106,8 +106,12 @@ Su2::dagger() const
 double
 Su2::distTo(const Su2 &other) const
 {
-    const Su2 prod = dagger() * other;
-    const double traceMag = std::abs(prod.m_[0][0] + prod.m_[1][1]);
+    // Only the diagonal of U^dag V enters the trace.
+    const Cplx d0 = std::conj(m_[0][0]) * other.m_[0][0]
+        + std::conj(m_[1][0]) * other.m_[1][0];
+    const Cplx d1 = std::conj(m_[0][1]) * other.m_[0][1]
+        + std::conj(m_[1][1]) * other.m_[1][1];
+    const double traceMag = std::abs(d0 + d1);
     // Clamp against tiny negative values from rounding.
     const double inner = 1.0 - std::min(1.0, traceMag / 2.0);
     return std::sqrt(inner < 0.0 ? 0.0 : inner);

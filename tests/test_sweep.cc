@@ -379,6 +379,24 @@ TEST(SweepEngine, PointErrorsAreCapturedNotFatal)
               std::string::npos);
 }
 
+TEST(SweepEngine, BadSynthOptionsAreCapturedNotFatal)
+{
+    const SweepSpec spec = SweepSpec::fromJson(parse(R"({
+      "runner": "experiment",
+      "base": {"workload": "qft", "bits": 4},
+      "axes": [
+        {"field": "synth.maxSyllables", "values": [3, 12]}
+      ]
+    })"));
+    const SweepReport report = runSweep(spec);
+    EXPECT_EQ(report.failed, 1u);
+    const Json &points = report.doc.at("points");
+    EXPECT_FALSE(points.at(0).has("error"));
+    EXPECT_TRUE(points.at(1).has("error"));
+    EXPECT_NE(points.at(1).at("error").asString().find("maxSyllables"),
+              std::string::npos);
+}
+
 TEST(SweepEngine, ProgressReportsEveryPointOnce)
 {
     std::size_t calls = 0;

@@ -1,18 +1,202 @@
 /**
  * @file
  * Unit tests for the Fowler rotation-word search: Su2 algebra,
- * exact Clifford/T cases, inversion, and approximation quality.
+ * exact Clifford/T cases, inversion, approximation quality, and
+ * equivalence of the one-pass multi-target search with the original
+ * per-target two-pass search.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <vector>
 
 #include "synth/Fowler.hh"
 #include "synth/Su2.hh"
 
 namespace qc {
 namespace {
+
+/**
+ * The original per-target search, kept verbatim as the reference the
+ * one-pass search must reproduce word for word and bit for bit: a
+ * DFS for the cheapest word within maxError and, if none reaches it,
+ * a second DFS within 2% of the best error the first one saw.
+ */
+namespace reference {
+
+const std::vector<GateKind> &
+tPowerGates(int a)
+{
+    static const std::vector<GateKind> table[8] = {
+        {},
+        {GateKind::T},
+        {GateKind::S},
+        {GateKind::S, GateKind::T},
+        {GateKind::Z},
+        {GateKind::Z, GateKind::T},
+        {GateKind::Sdg},
+        {GateKind::Tdg},
+    };
+    return table[a];
+}
+
+int
+tPowerCost(int a, bool pure_ht, int t_weight)
+{
+    if (pure_ht)
+        return a * t_weight;
+    int cost = 0;
+    for (GateKind g : tPowerGates(a)) {
+        cost += (g == GateKind::T || g == GateKind::Tdg) ? t_weight
+                                                         : 1;
+    }
+    return cost;
+}
+
+struct SearchCtx
+{
+    const Su2 *target;
+    double maxError;
+    int maxSyllables;
+    bool pureHT;
+    int tWeight;
+
+    double bestError = 2.0;
+    int bestCost = 1 << 30;
+    std::vector<std::uint8_t> bestWord;
+    bool found = false;
+
+    std::vector<std::uint8_t> word;
+
+    void
+    consider(const Su2 &m, int cost)
+    {
+        const double err = m.distTo(*target);
+        const bool ok = err <= maxError;
+        if (found) {
+            if (ok && (cost < bestCost ||
+                       (cost == bestCost && err < bestError))) {
+                bestCost = cost;
+                bestError = err;
+                bestWord = word;
+            }
+        } else if (ok) {
+            found = true;
+            bestCost = cost;
+            bestError = err;
+            bestWord = word;
+        } else if (err < bestError) {
+            bestError = err;
+            bestCost = cost;
+            bestWord = word;
+        }
+    }
+};
+
+void
+extend(SearchCtx &ctx, const Su2 &m, int cost, int depth)
+{
+    if (depth >= ctx.maxSyllables)
+        return;
+    const Su2 afterH = Su2::hGate() * m;
+    const Su2 tMat = Su2::tGate();
+
+    ctx.word.push_back(0);
+    ctx.consider(afterH, cost + 1);
+
+    Su2 cur = afterH;
+    for (int a = 1; a <= 7; ++a) {
+        cur = tMat * cur;
+        ctx.word.back() = static_cast<std::uint8_t>(a);
+        const int c = cost + 1 + tPowerCost(a, ctx.pureHT,
+                                            ctx.tWeight);
+        ctx.consider(cur, c);
+        extend(ctx, cur, c, depth + 1);
+    }
+    ctx.word.pop_back();
+}
+
+ApproxSequence
+wordToSequence(const std::vector<std::uint8_t> &word, double error,
+               bool pure_ht)
+{
+    ApproxSequence seq;
+    seq.error = error;
+    bool first = true;
+    for (std::uint8_t a : word) {
+        if (!first)
+            seq.gates.push_back(GateKind::H);
+        if (pure_ht) {
+            seq.gates.insert(seq.gates.end(), a, GateKind::T);
+        } else {
+            const auto &gates = tPowerGates(a);
+            seq.gates.insert(seq.gates.end(), gates.begin(),
+                             gates.end());
+        }
+        first = false;
+    }
+    return seq;
+}
+
+SearchCtx
+runDfs(const Su2 &target, const FowlerSynth::Options &opts,
+       double max_error)
+{
+    SearchCtx ctx;
+    ctx.target = &target;
+    ctx.maxError = max_error;
+    ctx.maxSyllables = opts.maxSyllables;
+    ctx.pureHT = opts.pureHT;
+    ctx.tWeight = opts.tCostWeight;
+
+    const Su2 tMat = Su2::tGate();
+    Su2 cur = Su2::identity();
+    for (int a0 = 0; a0 <= 7; ++a0) {
+        if (a0 > 0)
+            cur = tMat * cur;
+        ctx.word.assign(1, static_cast<std::uint8_t>(a0));
+        const int cost = tPowerCost(a0, opts.pureHT, opts.tCostWeight);
+        ctx.consider(cur, cost);
+        extend(ctx, cur, cost, 0);
+    }
+    return ctx;
+}
+
+ApproxSequence
+search(const Su2 &target, const FowlerSynth::Options &opts)
+{
+    SearchCtx ctx = runDfs(target, opts, opts.maxError);
+    if (!ctx.found)
+        ctx = runDfs(target, opts, ctx.bestError * 1.02 + 1e-15);
+    return wordToSequence(ctx.bestWord, ctx.bestError, opts.pureHT);
+}
+
+/** The least error any word within the options reaches. */
+double
+bestError(const Su2 &target, const FowlerSynth::Options &opts)
+{
+    return runDfs(target, opts, -1.0).bestError;
+}
+
+} // namespace reference
+
+/** Equal gates and bitwise-equal error. */
+::testing::AssertionResult
+sameWord(const ApproxSequence &got, const ApproxSequence &want)
+{
+    if (got.gates != want.gates)
+        return ::testing::AssertionFailure() << "gates differ";
+    if (std::memcmp(&got.error, &want.error, sizeof(double)) != 0) {
+        return ::testing::AssertionFailure()
+               << "error " << got.error << " != " << want.error;
+    }
+    return ::testing::AssertionSuccess();
+}
 
 TEST(Su2, IdentityDistanceZero)
 {
@@ -189,8 +373,128 @@ TEST(FowlerSearch, SGateFoundAsSingleGate)
 
 TEST(FowlerDeath, RejectsBadOptions)
 {
-    EXPECT_DEATH(FowlerSynth(FowlerSynth::Options{0, 1e-3}),
-                 "maxSyllables");
+    EXPECT_THROW(FowlerSynth(FowlerSynth::Options{0, 1e-3}),
+                 std::invalid_argument);
+    EXPECT_THROW(FowlerSynth(FowlerSynth::Options{10, 1e-3}),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        FowlerSynth(FowlerSynth::Options{3, 1e-3, true, 1000000001}),
+        std::invalid_argument);
+    EXPECT_THROW(
+        FowlerSynth(FowlerSynth::Options{3, 1e-3, false, -1000001}),
+        std::invalid_argument);
+    EXPECT_NO_THROW(
+        FowlerSynth(FowlerSynth::Options{3, 1e-3, true, -1000000}));
+}
+
+std::vector<Su2>
+equivalenceTargets()
+{
+    std::vector<Su2> targets;
+    for (int k = 3; k <= 12; ++k) {
+        targets.push_back(Su2::rotZ(k));
+        targets.push_back(Su2::rotZ(-k));
+    }
+    targets.push_back(Su2::hGate() * Su2::tGate() * Su2::hGate());
+    targets.push_back(Su2::phase(0.3));
+    // At two syllables, compressed alphabet and T weight 1, no word
+    // comes within 5e-2 of this target, and the empty word lies 2-3%
+    // above the best error: just outside the fallback band, so this
+    // target pins the band's width.
+    targets.push_back(Su2::phase(0.397));
+    return targets;
+}
+
+TEST(FowlerEquivalence, OnePassMatchesTwoPassReference)
+{
+    const std::vector<Su2> targets = equivalenceTargets();
+    for (int syllables = 1; syllables <= 4; ++syllables) {
+        for (bool pure : {false, true}) {
+            for (int weight : {0, 1, 3}) {
+                for (double max_error : {1e-3, 5e-2, 0.2}) {
+                    const FowlerSynth::Options opts{syllables, max_error,
+                                                    pure, weight};
+                    const std::vector<ApproxSequence> got =
+                        FowlerSynth(opts).search(targets);
+                    ASSERT_EQ(got.size(), targets.size());
+                    for (std::size_t i = 0; i < targets.size(); ++i) {
+                        EXPECT_TRUE(sameWord(
+                            got[i],
+                            reference::search(targets[i], opts)))
+                            << "syllables=" << syllables
+                            << " pureHT=" << pure << " weight=" << weight
+                            << " maxError=" << max_error
+                            << " target=" << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(FowlerEquivalence, ShippedOptionsMatchReference)
+{
+    // The paper's option set (ExperimentConfig::paper and the
+    // fig15/fig8/level2 specs), over every k <= lowering.maxRotK + 1.
+    const FowlerSynth::Options opts{6, 1e-3, true, 3};
+    FowlerSynth synth(opts);
+    const std::vector<int> ks = {3, 4, 5, 6, 7, 8, 9};
+    synth.prepare(ks);
+    for (int k : ks) {
+        EXPECT_TRUE(sameWord(synth.rotZ(k),
+                             reference::search(Su2::rotZ(k), opts)))
+            << "k=" << k;
+    }
+}
+
+TEST(FowlerEquivalence, ToleranceEqualToBestErrorIsReached)
+{
+    // A word whose error equals maxError exactly is within tolerance,
+    // so the answer comes from maxError, not from the 2% band.
+    const std::vector<Su2> targets = equivalenceTargets();
+    for (int syllables = 2; syllables <= 3; ++syllables) {
+        for (bool pure : {false, true}) {
+            for (const Su2 &target : targets) {
+                FowlerSynth::Options opts{syllables, 0.0, pure, 3};
+                opts.maxError = reference::bestError(target, opts);
+                EXPECT_TRUE(sameWord(FowlerSynth(opts).search(target),
+                                     reference::search(target, opts)))
+                    << "syllables=" << syllables << " pureHT=" << pure;
+            }
+        }
+    }
+}
+
+TEST(FowlerEquivalence, BatchEqualsPerTargetInAnyOrder)
+{
+    const FowlerSynth synth(FowlerSynth::Options{4, 1e-3, false, 3});
+    std::vector<Su2> targets = equivalenceTargets();
+    std::vector<ApproxSequence> single;
+    for (const Su2 &t : targets)
+        single.push_back(synth.search(t));
+
+    const std::vector<ApproxSequence> forward = synth.search(targets);
+    std::reverse(targets.begin(), targets.end());
+    const std::vector<ApproxSequence> backward = synth.search(targets);
+    ASSERT_EQ(forward.size(), single.size());
+    ASSERT_EQ(backward.size(), single.size());
+    for (std::size_t i = 0; i < single.size(); ++i) {
+        EXPECT_TRUE(sameWord(forward[i], single[i])) << "i=" << i;
+        EXPECT_TRUE(sameWord(backward[single.size() - 1 - i], single[i]))
+            << "i=" << i;
+    }
+    EXPECT_TRUE(synth.search(std::vector<Su2>{}).empty());
+}
+
+TEST(FowlerEquivalence, PrepareFillsTheSameMemoAsRotZ)
+{
+    const FowlerSynth::Options opts{4, 1e-3, true, 3};
+    FowlerSynth prepared(opts);
+    FowlerSynth lazy(opts);
+    const std::vector<int> ks = {-5, 0, 3, 9, 3, -2, 12};
+    prepared.prepare(ks);
+    for (int k : ks)
+        EXPECT_TRUE(sameWord(prepared.rotZ(k), lazy.rotZ(k))) << "k=" << k;
 }
 
 } // namespace
