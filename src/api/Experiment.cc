@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "codes/ConcatenatedCode.hh"
 #include "error/RecursiveError.hh"
@@ -35,13 +36,21 @@ ionTrapToJson(const IonTrapParams &tech)
 IonTrapParams
 ionTrapFromJson(const Json &j)
 {
+    const auto latency = [&j](const std::string &key, Time fallback) {
+        const Time t = j.getInt(key, fallback);
+        if (t < 0) {
+            throw std::invalid_argument("tech." + key + " must be >= 0, got "
+                                        + std::to_string(t));
+        }
+        return t;
+    };
     IonTrapParams tech;
-    tech.t1q = j.getInt("t1q_ns", tech.t1q);
-    tech.t2q = j.getInt("t2q_ns", tech.t2q);
-    tech.tmeas = j.getInt("tmeas_ns", tech.tmeas);
-    tech.tprep = j.getInt("tprep_ns", tech.tprep);
-    tech.tmove = j.getInt("tmove_ns", tech.tmove);
-    tech.tturn = j.getInt("tturn_ns", tech.tturn);
+    tech.t1q = latency("t1q_ns", tech.t1q);
+    tech.t2q = latency("t2q_ns", tech.t2q);
+    tech.tmeas = latency("tmeas_ns", tech.tmeas);
+    tech.tprep = latency("tprep_ns", tech.tprep);
+    tech.tmove = latency("tmove_ns", tech.tmove);
+    tech.tturn = latency("tturn_ns", tech.tturn);
     return tech;
 }
 

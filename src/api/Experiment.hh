@@ -166,7 +166,11 @@ struct ExperimentConfig
      *  hand-wired synthesis options, 32 bits). */
     static ExperimentConfig paper(const std::string &workload);
 
-    /** JSON round-trip; missing keys keep their defaults. */
+    /**
+     * JSON round-trip; missing keys keep their defaults.
+     *
+     * @throws std::invalid_argument if a tech.*_ns latency is negative
+     */
     static ExperimentConfig fromJson(const Json &json);
     Json toJson() const;
 

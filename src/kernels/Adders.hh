@@ -50,6 +50,7 @@ struct AdderKernel
  *
  * @param n            operand width in bits (>= 1)
  * @param prep_ancilla emit PrepZ on the carry ancillae first
+ * @throws std::invalid_argument if n < 1
  */
 AdderKernel makeQrca(int n, bool prep_ancilla = true);
 
@@ -58,6 +59,7 @@ AdderKernel makeQrca(int n, bool prep_ancilla = true);
  *
  * @param n            operand width in bits (>= 1)
  * @param prep_ancilla emit PrepZ on all ancillae first
+ * @throws std::invalid_argument if n < 1
  */
 AdderKernel makeQcla(int n, bool prep_ancilla = true);
 

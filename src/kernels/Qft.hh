@@ -34,6 +34,8 @@ struct QftOptions
 
 /**
  * Build the n-qubit QFT over qubits [0, n).
+ *
+ * @throws std::invalid_argument if n < 1
  */
 Circuit makeQft(int n, const QftOptions &options = {});
 

@@ -1,6 +1,7 @@
 #include "synth/Fowler.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <set>
@@ -76,8 +77,33 @@ struct Step
 {
     int cost;
     double err;
+    /** Prefilter bound: see dominated(). */
+    double dropT2;
     PackedWord word;
 };
+
+/**
+ * True if offer() would drop a word of this cost whose trace
+ * tr(U^dag V) has t2 = re^2 + im^2, proven without its exact distance.
+ *
+ * An entry's gap g = fl(1 - h), h = min(1, |tr| / 2), makes 1 - g
+ * exact (Sterbenz), so every word whose computed |tr'| is at most
+ * m = 2(1 - g) gets h' <= 1 - g and, each rounding step being
+ * monotone, a gap' >= g and an err' >= the entry's err: offer() drops
+ * it. t2 is within a few ulps of |tr'|^2, so t2 <= m^2 (1 - 1e-12)
+ * implies |tr'| <= m; a t2 that underflows to 0 has |tr'| < 2^-536,
+ * whose gap rounds to 1, the largest. Along the staircase err falls,
+ * so dropT2 rises, and the last entry of cost <= `cost` decides.
+ */
+bool
+dominated(const std::vector<Step> &stair, int cost, double t2)
+{
+    for (auto it = stair.rbegin(); it != stair.rend(); ++it) {
+        if (it->cost <= cost)
+            return t2 <= it->dropT2;
+    }
+    return false;
+}
 
 /**
  * Keep a word in a target's staircase: the words sorted by cost
@@ -87,8 +113,9 @@ struct Step
  * makes the word the lowest (cost, error, order) one within it.
  */
 void
-offer(std::vector<Step> &stair, int cost, double err, PackedWord word)
+offer(std::vector<Step> &stair, int cost, double gap, PackedWord word)
 {
+    const double err = std::sqrt(gap);
     for (const Step &s : stair) {
         if (s.cost > cost)
             break;
@@ -98,9 +125,10 @@ offer(std::vector<Step> &stair, int cost, double err, PackedWord word)
     std::erase_if(stair, [&](const Step &s) {
         return s.cost >= cost && s.err >= err;
     });
+    const double m = 2.0 * (1.0 - gap);
     stair.insert(std::find_if(stair.begin(), stair.end(),
                               [&](const Step &s) { return s.cost > cost; }),
-                 {cost, err, word});
+                 {cost, err, m * m * (1.0 - 1e-12), word});
 }
 
 /** DFS over the word space, scoring every node against all targets. */
@@ -111,8 +139,6 @@ struct SearchCtx
     int maxSyllables;
     /** Weighted cost of the decomposition of T^a. */
     int tCost[8] = {};
-    Su2 tMat = Su2::tGate();
-    Su2 hMat = Su2::hGate();
 
     /**
      * Score every word that appends exponent a to `prefix` at index
@@ -129,16 +155,21 @@ struct SearchCtx
         Su2 cur = m;
         for (int a = 0; a <= 7; ++a) {
             if (a > 0)
-                cur = tMat * cur;
+                cur = cur.thenT();
             const PackedWord word =
                 prefix | static_cast<PackedWord>(a) << shift;
             const int c = cost + tCost[a];
             for (std::size_t i = 0; i < targets.size(); ++i) {
-                offer(stairs[i], c, cur.distTo(targets[i]),
-                      word | PackedWord{1} << (shift + 3));
+                const Su2::Cplx tr = cur.traceDagger(targets[i]);
+                const double t2 =
+                    tr.real() * tr.real() + tr.imag() * tr.imag();
+                if (!dominated(stairs[i], c, t2)) {
+                    offer(stairs[i], c, Su2::traceGap(tr),
+                          word | PackedWord{1} << (shift + 3));
+                }
             }
             if ((a > 0 || depth == 0) && depth < maxSyllables)
-                extend(hMat * cur, c + 1, word, depth + 1);
+                extend(cur.thenH(), c + 1, word, depth + 1);
         }
     }
 };

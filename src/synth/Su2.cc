@@ -4,12 +4,6 @@
 
 namespace qc {
 
-namespace {
-
-constexpr double invSqrt2 = 0.70710678118654752440;
-
-} // namespace
-
 Su2::Su2() : Su2(1.0, 0.0, 0.0, 1.0)
 {
 }
@@ -106,15 +100,15 @@ Su2::dagger() const
 double
 Su2::distTo(const Su2 &other) const
 {
-    // Only the diagonal of U^dag V enters the trace.
-    const Cplx d0 = std::conj(m_[0][0]) * other.m_[0][0]
-        + std::conj(m_[1][0]) * other.m_[1][0];
-    const Cplx d1 = std::conj(m_[0][1]) * other.m_[0][1]
-        + std::conj(m_[1][1]) * other.m_[1][1];
-    const double traceMag = std::abs(d0 + d1);
+    return std::sqrt(traceGap(traceDagger(other)));
+}
+
+double
+Su2::traceGap(Cplx trace)
+{
     // Clamp against tiny negative values from rounding.
-    const double inner = 1.0 - std::min(1.0, traceMag / 2.0);
-    return std::sqrt(inner < 0.0 ? 0.0 : inner);
+    const double inner = 1.0 - std::min(1.0, std::abs(trace) / 2.0);
+    return inner < 0.0 ? 0.0 : inner;
 }
 
 } // namespace qc

@@ -46,6 +46,28 @@ class Su2
     /** Matrix product (this applied after rhs, i.e. *this * rhs). */
     Su2 operator*(const Su2 &rhs) const;
 
+    /**
+     * tGate() * *this and hGate() * *this, specialized (inline: they
+     * are the rotation search's inner loop). T scales row 1 by
+     * e^{i pi/4}; H takes the real-weighted row sum and difference.
+     * Each entry rounds as in operator*, whose extra terms are exact
+     * zeros, so only the sign of a zero may differ.
+     */
+    Su2 thenT() const
+    {
+        static const Cplx w = tGate().m_[1][1];
+        return Su2(m_[0][0], m_[0][1], w * m_[1][0], w * m_[1][1]);
+    }
+    Su2 thenH() const
+    {
+        const auto half = [this](int r, int c) {
+            return Cplx(invSqrt2 * m_[r][c].real(),
+                        invSqrt2 * m_[r][c].imag());
+        };
+        return Su2(half(0, 0) + half(1, 0), half(0, 1) + half(1, 1),
+                   half(0, 0) - half(1, 0), half(0, 1) - half(1, 1));
+    }
+
     /** Conjugate transpose. */
     Su2 dagger() const;
 
@@ -56,10 +78,25 @@ class Su2
      */
     double distTo(const Su2 &other) const;
 
+    /** tr(U^dag V) for U = *this and V = other. */
+    Cplx traceDagger(const Su2 &other) const
+    {
+        // Only the diagonal of U^dag V enters the trace.
+        return std::conj(m_[0][0]) * other.m_[0][0]
+            + std::conj(m_[1][0]) * other.m_[1][0]
+            + (std::conj(m_[0][1]) * other.m_[0][1]
+               + std::conj(m_[1][1]) * other.m_[1][1]);
+    }
+
+    /** 1 - min(1, |trace| / 2): distTo() squared, from traceDagger(). */
+    static double traceGap(Cplx trace);
+
     /** Entry accessor (r, c in {0, 1}). */
     Cplx at(int r, int c) const { return m_[r][c]; }
 
   private:
+    static constexpr double invSqrt2 = 0.70710678118654752440;
+
     Cplx m_[2][2];
 };
 

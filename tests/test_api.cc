@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "api/Qc.hh"
@@ -384,6 +385,26 @@ TEST(ExperimentConfig, MissingKeysKeepDefaults)
     EXPECT_EQ(config.cacheSlots, defaults.cacheSlots);
     EXPECT_EQ(scheduleModeName(config.schedule),
               scheduleModeName(defaults.schedule));
+}
+
+TEST(ExperimentConfig, NegativeTechLatencyThrows)
+{
+    for (const char *key : {"t1q_ns", "t2q_ns", "tmeas_ns", "tprep_ns",
+                            "tmove_ns", "tturn_ns"}) {
+        const std::string field = std::string("\"") + key + "\": ";
+        EXPECT_THROW(ExperimentConfig::fromJson(Json::parse(
+                         "{\"tech\": {" + field + "-5}}")),
+                     std::invalid_argument)
+            << key;
+        EXPECT_EQ(ExperimentConfig::fromJson(
+                      Json::parse("{\"tech\": {" + field + "0}}"))
+                      .toJson()
+                      .at("tech")
+                      .at(key)
+                      .asInt(),
+                  0)
+            << key;
+    }
 }
 
 TEST(ExperimentConfig, ScheduleModeNamesRoundTrip)

@@ -379,22 +379,47 @@ TEST(SweepEngine, PointErrorsAreCapturedNotFatal)
               std::string::npos);
 }
 
-TEST(SweepEngine, BadSynthOptionsAreCapturedNotFatal)
+/** Runs a one-axis experiment sweep whose second value is bad. */
+void
+expectSecondPointFails(const std::string &base, const std::string &field,
+                       const std::string &values, const std::string &what)
 {
-    const SweepSpec spec = SweepSpec::fromJson(parse(R"({
-      "runner": "experiment",
-      "base": {"workload": "qft", "bits": 4},
-      "axes": [
-        {"field": "synth.maxSyllables", "values": [3, 12]}
-      ]
-    })"));
+    const SweepSpec spec = SweepSpec::fromJson(parse(
+        R"({"runner": "experiment", "base": )" + base
+        + R"(, "axes": [{"field": ")" + field + R"(", "values": )"
+        + values + "}]}"));
     const SweepReport report = runSweep(spec);
     EXPECT_EQ(report.failed, 1u);
     const Json &points = report.doc.at("points");
+    ASSERT_EQ(points.size(), 2u);
     EXPECT_FALSE(points.at(0).has("error"));
-    EXPECT_TRUE(points.at(1).has("error"));
-    EXPECT_NE(points.at(1).at("error").asString().find("maxSyllables"),
-              std::string::npos);
+    ASSERT_TRUE(points.at(1).has("error"));
+    EXPECT_NE(points.at(1).at("error").asString().find(what),
+              std::string::npos)
+        << points.at(1).at("error").asString();
+}
+
+TEST(SweepEngine, BadSynthOptionsAreCapturedNotFatal)
+{
+    expectSecondPointFails(R"({"workload": "qft", "bits": 4})",
+                           "synth.maxSyllables", "[3, 12]", "maxSyllables");
+}
+
+TEST(SweepEngine, ZeroWidthKernelsAreCapturedNotFatal)
+{
+    expectSecondPointFails(R"({"workload": "qrca"})", "bits", "[8, 0]",
+                           "makeQrca");
+    expectSecondPointFails(R"({"workload": "qcla"})", "bits", "[8, 0]",
+                           "makeQcla");
+    expectSecondPointFails(
+        R"({"workload": "qft", "synth": {"maxSyllables": 3}})", "bits",
+        "[4, 0]", "makeQft");
+}
+
+TEST(SweepEngine, NegativeTechLatenciesAreCapturedNotFatal)
+{
+    expectSecondPointFails(R"({"workload": "qrca", "bits": 8})",
+                           "tech.t1q_ns", "[10, -5]", "tech.t1q_ns");
 }
 
 TEST(SweepEngine, ProgressReportsEveryPointOnce)

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "synth/Fowler.hh"
@@ -198,6 +199,16 @@ sameWord(const ApproxSequence &got, const ApproxSequence &want)
     return ::testing::AssertionSuccess();
 }
 
+/** The unitary of an {H, T} word given in application order. */
+Su2
+wordUnitary(const std::string &word)
+{
+    Su2 m = Su2::identity();
+    for (char g : word)
+        m = (g == 'H' ? Su2::hGate() : Su2::tGate()) * m;
+    return m;
+}
+
 TEST(Su2, IdentityDistanceZero)
 {
     EXPECT_DOUBLE_EQ(Su2::identity().distTo(Su2::identity()), 0.0);
@@ -240,6 +251,24 @@ TEST(Su2, DaggerInverts)
 {
     const Su2 u = Su2::hGate() * Su2::tGate() * Su2::hGate();
     EXPECT_NEAR((u.dagger() * u).distTo(Su2::identity()), 0.0, 1e-12);
+}
+
+TEST(Su2, SpecializedProductsEqualOperatorStar)
+{
+    for (const char *word : {"", "T", "HTTTHT", "THTHTTTTTHTTHTTTTTTT"}) {
+        const Su2 m = wordUnitary(word);
+        const Su2 t = m.thenT();
+        const Su2 h = m.thenH();
+        const Su2 tRef = Su2::tGate() * m;
+        const Su2 hRef = Su2::hGate() * m;
+        for (int r = 0; r < 2; ++r) {
+            for (int c = 0; c < 2; ++c) {
+                // == on doubles: bitwise equal, but for a zero's sign.
+                EXPECT_TRUE(t.at(r, c) == tRef.at(r, c)) << word;
+                EXPECT_TRUE(h.at(r, c) == hRef.at(r, c)) << word;
+            }
+        }
+    }
 }
 
 TEST(Su2, RotZMatchesPhase)
@@ -444,6 +473,42 @@ TEST(FowlerEquivalence, ShippedOptionsMatchReference)
         EXPECT_TRUE(sameWord(synth.rotZ(k),
                              reference::search(Su2::rotZ(k), opts)))
             << "k=" << k;
+    }
+}
+
+TEST(FowlerEquivalence, PrefilterKeepsTiesAtTheBound)
+{
+    // Targets that are words of the search space: many words reach
+    // the same error, up to rounding, so a word whose squared trace
+    // magnitude sits at a staircase entry's bound decides the answer.
+    // A prefilter that drops words even slightly better than an
+    // entry changes some of these words.
+    std::vector<Su2> targets;
+    for (const char *word :
+         {"THT", "HTTTHT", "THTHT", "HTHTTHTTT", "TTTTTHTHTTTTTTTHTT",
+          "TTHT", "HTH", "THTTTHTTTTTHTHTT"}) {
+        targets.push_back(wordUnitary(word));
+    }
+    for (int syllables = 1; syllables <= 4; ++syllables) {
+        for (bool pure : {false, true}) {
+            for (int weight : {-2, 0, 3}) {
+                for (double max_error : {1e-3, 0.2}) {
+                    const FowlerSynth::Options opts{syllables, max_error,
+                                                    pure, weight};
+                    const std::vector<ApproxSequence> got =
+                        FowlerSynth(opts).search(targets);
+                    for (std::size_t i = 0; i < targets.size(); ++i) {
+                        EXPECT_TRUE(sameWord(
+                            got[i],
+                            reference::search(targets[i], opts)))
+                            << "syllables=" << syllables
+                            << " pureHT=" << pure << " weight=" << weight
+                            << " maxError=" << max_error
+                            << " target=" << i;
+                    }
+                }
+            }
+        }
     }
 }
 
