@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared helpers for the table/figure bench binaries: canonical
- * 32-bit paper benchmark construction and paper-vs-measured table
- * emission.
+ * Shared helpers for the ablation and engine bench binaries:
+ * canonical 32-bit paper benchmark construction and name=value
+ * argument parsing.
  */
 
 #ifndef QC_BENCH_BENCH_COMMON_HH
@@ -16,30 +16,8 @@
 
 #include "api/Qc.hh"
 #include "common/Table.hh"
-#include "factory/ZeroFactory.hh"
-#include "layout/Builders.hh"
 
 namespace qc::bench {
-
-/**
- * The pipelined zero factory sized with the verification acceptance
- * measured by the batched Pauli-frame Monte Carlo engine (movement
- * charges calibrated from the routed Fig 11 layout), announced on
- * stdout. Shared by the figure benches so they price demand against
- * one consistent factory design.
- */
-inline ZeroFactory
-calibratedZeroFactory()
-{
-    const MovementModel movement = calibrateMovement(
-        buildSimpleFactory(), IonTrapParams::paper());
-    const ZeroFactory factory = ZeroFactory::calibrated(
-        IonTrapParams::paper(), ErrorParams::paper(), movement);
-    std::cout << "zero factory: measured acceptance "
-              << fmtPct(factory.acceptRate(), 2) << ", throughput "
-              << fmtFixed(factory.throughput(), 1) << " /ms\n";
-    return factory;
-}
 
 /**
  * Build the paper's three 32-bit benchmarks through the workload

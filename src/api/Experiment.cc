@@ -54,6 +54,18 @@ ionTrapFromJson(const Json &j)
     return tech;
 }
 
+int
+checkedDemandBins(std::int64_t bins)
+{
+    if (bins < 1 || bins > ExperimentConfig::kMaxDemandBins) {
+        throw std::invalid_argument(
+            "demandBins must be in [1, "
+            + std::to_string(ExperimentConfig::kMaxDemandBins)
+            + "], got " + std::to_string(bins));
+    }
+    return static_cast<int>(bins);
+}
+
 } // namespace
 
 std::string
@@ -215,7 +227,7 @@ ExperimentConfig::fromJson(const Json &j)
     config.zeroPerMs = j.getDouble("zeroPerMs", config.zeroPerMs);
     config.pi8PerMs = j.getDouble("pi8PerMs", config.pi8PerMs);
     config.timeLimit = j.getInt("timeLimit_ns", config.timeLimit);
-    config.demandBins = static_cast<int>(
+    config.demandBins = checkedDemandBins(
         j.getInt("demandBins", config.demandBins));
     return config;
 }
@@ -452,7 +464,7 @@ Experiment::workload()
 const Experiment::Analytics &
 Experiment::analytics(const ExperimentConfig &variant)
 {
-    const int bins = std::max(1, variant.demandBins);
+    const int bins = checkedDemandBins(variant.demandBins);
     const IonTrapParams &tech = variant.tech;
     const bool fresh = !analytics_
         || analytics_->demandBins != bins

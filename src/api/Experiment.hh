@@ -156,8 +156,11 @@ struct ExperimentConfig
     Time timeLimit = 0;
 
     // --- Reporting -------------------------------------------------
-    /** Bins in the Figure 7 ancilla-demand profile. */
+    /** Bins in the Figure 7 ancilla-demand profile, in
+     *  [1, kMaxDemandBins]; other values throw std::invalid_argument
+     *  (the profile allocates one double per bin). */
     int demandBins = 40;
+    static constexpr int kMaxDemandBins = 1 << 16;
 
     /** MicroarchConfig equivalent (for the arch-mode run). */
     MicroarchConfig microarchConfig() const;
@@ -169,7 +172,8 @@ struct ExperimentConfig
     /**
      * JSON round-trip; missing keys keep their defaults.
      *
-     * @throws std::invalid_argument if a tech.*_ns latency is negative
+     * @throws std::invalid_argument if a tech.*_ns latency is
+     *         negative or demandBins is out of range
      */
     static ExperimentConfig fromJson(const Json &json);
     Json toJson() const;

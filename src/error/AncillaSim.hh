@@ -105,9 +105,6 @@ struct PrepEstimate
 
     /** Estimated per-attempt verification failure rate. */
     double discardRate() const;
-
-    /** Estimated per-attempt correction-stage recycle rate. */
-    double correctionDiscardRate() const;
 };
 
 /**

@@ -27,6 +27,10 @@
  *   (others)    identity: every field is semantic. Unknown runners
  *               get no normalization, which is always safe (worst
  *               case is a needless cache miss, never a wrong hit).
+ *               This includes `experiment-full`, which stores
+ *               Result::toJson(): its demand profile has
+ *               `demandBins` entries, so the bin count is semantic
+ *               there.
  *
  * The policy is deliberately conservative: a field is normalized
  * away only when the stored result provably cannot depend on it.

@@ -12,16 +12,28 @@ namespace {
 
 // ----------------------------------------------------------------
 // "experiment": the qc::Experiment facade, one point = one Result.
+// "experiment-full" is the same runner storing Result::toJson()
+// (the `qcarch run` document) instead of summaryJson().
 // ----------------------------------------------------------------
 
 class ExperimentRunner : public SweepRunner
 {
   public:
-    std::string name() const override { return "experiment"; }
+    explicit ExperimentRunner(bool full) : full_(full) {}
+
+    std::string
+    name() const override
+    {
+        return full_ ? "experiment-full" : "experiment";
+    }
 
     std::string
     description() const override
     {
+        if (full_)
+            return "the experiment runner, storing each point's "
+                   "full Result document (as `qcarch run` prints "
+                   "it)";
         return "qc::runExperiment over ExperimentConfig fields "
                "(workloads, schedules, architectures, code levels, "
                "error rates)";
@@ -92,12 +104,21 @@ class ExperimentRunner : public SweepRunner
             ExperimentConfig throttled = c;
             throttled.zeroPerMs =
                 experiment.run(ideal).bandwidth.zeroPerMs() * fraction;
-            Json out = experiment.run(throttled).summaryJson();
+            Json out = document(experiment.run(throttled));
             out.set("zero_supply_per_ms", throttled.zeroPerMs);
             return out;
         }
-        return experiment.run().summaryJson();
+        return document(experiment.run());
     }
+
+  private:
+    Json
+    document(const Result &result) const
+    {
+        return full_ ? result.toJson() : result.summaryJson();
+    }
+
+    bool full_;
 };
 
 // ----------------------------------------------------------------
@@ -360,7 +381,9 @@ void
 registerBuiltinSweepRunners(SweepRunnerRegistry &registry)
 {
     registry.add("experiment",
-                 std::make_shared<const ExperimentRunner>());
+                 std::make_shared<const ExperimentRunner>(false));
+    registry.add("experiment-full",
+                 std::make_shared<const ExperimentRunner>(true));
     registry.add("mc-prep", std::make_shared<const McPrepRunner>());
 }
 

@@ -15,7 +15,13 @@
  *                  Figure 8-style throttling at a fraction of the
  *                  workload's own average bandwidth. Workload
  *                  builds (synthesis included) are shared across
- *                  points through the SweepContext cache.
+ *                  points through the SweepContext cache. Stores
+ *                  the flat Result::summaryJson().
+ *
+ *  - "experiment-full"  the same runner and fields, storing the
+ *                  full Result::toJson() document that `qcarch
+ *                  run` prints (Tables 2, 3 and 9 and Figure 7 in
+ *                  specs/paper_tables.json).
  *
  *  - "mc-prep"     BatchAncillaSim Monte Carlo estimation of the
  *                  encoded-zero preparation strategies and the pi/8
@@ -70,7 +76,7 @@ class SweepRunner
   public:
     virtual ~SweepRunner() = default;
 
-    /** Registry key ("experiment", "mc-prep"). */
+    /** Registry key ("experiment", "experiment-full", "mc-prep"). */
     virtual std::string name() const = 0;
 
     /** One-line description for `qcarch list runners`. */

@@ -11,7 +11,9 @@ set(artifacts
     fig15_arch=fig15_arch
     fig8_throughput=fig8_throughput
     level2_scaling=level2
-    fig4_grid=fig4_sweep)
+    fig4_grid=fig4_sweep
+    paper_tables=paper_tables
+    fig4_paper=fig4_paper)
 
 file(MAKE_DIRECTORY ${WORK_DIR})
 foreach(pair ${artifacts})

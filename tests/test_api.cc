@@ -387,7 +387,7 @@ TEST(ExperimentConfig, MissingKeysKeepDefaults)
               scheduleModeName(defaults.schedule));
 }
 
-TEST(ExperimentConfig, NegativeTechLatencyThrows)
+TEST(ExperimentConfig, OutOfRangeValuesThrow)
 {
     for (const char *key : {"t1q_ns", "t2q_ns", "tmeas_ns", "tprep_ns",
                             "tmove_ns", "tturn_ns"}) {
@@ -405,6 +405,24 @@ TEST(ExperimentConfig, NegativeTechLatencyThrows)
                   0)
             << key;
     }
+    // demandBins sizes the Figure 7 profile allocation: a huge
+    // value must be refused before it is cast or allocated, on the
+    // JSON path and on the C++ path alike.
+    ExperimentConfig small;
+    small.params.bits = 4;
+    for (const char *bins : {"0", "-1", "1000000000"}) {
+        EXPECT_THROW(ExperimentConfig::fromJson(Json::parse(
+                         std::string("{\"demandBins\": ") + bins
+                         + "}")),
+                     std::invalid_argument)
+            << bins;
+        small.demandBins = static_cast<int>(std::stoll(bins));
+        EXPECT_THROW(runExperiment(small), std::invalid_argument)
+            << bins;
+    }
+    small.demandBins = ExperimentConfig::kMaxDemandBins;
+    EXPECT_EQ(runExperiment(small).demandProfile.size(),
+              static_cast<std::size_t>(ExperimentConfig::kMaxDemandBins));
 }
 
 TEST(ExperimentConfig, ScheduleModeNamesRoundTrip)

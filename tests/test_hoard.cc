@@ -345,6 +345,22 @@ TEST(HoardKey, OtherRunnersUseTheIdentityPolicy)
               hoardKeyHash("experiment", config));
 }
 
+TEST(HoardKey, FullExperimentDocumentsKeepDemandBins)
+{
+    // "experiment-full" stores Result::toJson(), whose
+    // demand_profile has demandBins entries: the bin count reaches
+    // the cached bytes, so it must stay in the key. The summary
+    // runner ("experiment") stores no profile and drops it.
+    const Json base = ExperimentConfig().toJson();
+    Json rebinned = base;
+    rebinned.set("demandBins", base.getInt("demandBins", 0) + 1);
+    EXPECT_NE(hoardKeyHash("experiment-full", rebinned),
+              hoardKeyHash("experiment-full", base));
+    EXPECT_EQ(hoardKeyHash("experiment", rebinned),
+              hoardKeyHash("experiment", base));
+    EXPECT_TRUE(hoardReportingOnlyFields("experiment-full").empty());
+}
+
 TEST(HoardKey, ReportingOnlyChangesProduceIdenticalResults)
 {
     // The soundness claim behind the policy, checked against the

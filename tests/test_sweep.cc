@@ -422,6 +422,16 @@ TEST(SweepEngine, NegativeTechLatenciesAreCapturedNotFatal)
                            "tech.t1q_ns", "[10, -5]", "tech.t1q_ns");
 }
 
+TEST(SweepEngine, OutOfRangeDemandBinsAreCapturedNotFatal)
+{
+    for (const char *bad : {"0", "-1", "1000000000"}) {
+        expectSecondPointFails(R"({"workload": "qrca", "bits": 8})",
+                               "demandBins",
+                               std::string("[40, ") + bad + "]",
+                               "demandBins");
+    }
+}
+
 TEST(SweepEngine, ProgressReportsEveryPointOnce)
 {
     std::size_t calls = 0;
@@ -590,6 +600,42 @@ TEST(SweepRunners, ExperimentPointMatchesRunExperiment)
         EXPECT_DOUBLE_EQ(point.at("factory_area").asDouble(),
                          expected.allocation.totalArea());
     }
+}
+
+TEST(SweepRunners, FullExperimentPointIsTheRunDocument)
+{
+    // One source of truth: an "experiment-full" point is exactly
+    // the `qcarch run` document (Result::toJson) plus the point's
+    // axis keys and config hash, with the result winning on
+    // collisions ("workload" becomes the display name).
+    const SweepSpec spec = SweepSpec::fromJson(parse(R"({
+      "runner": "experiment-full",
+      "base": {"bits": 8, "synth": {"maxSyllables": 3}},
+      "axes": [{"field": "workload", "values": ["qrca", "qcla"]},
+               {"field": "demandBins", "values": [5, 40]}]
+    })"));
+    const SweepReport report = runSweep(spec);
+    const Json &points = report.doc.at("points");
+    ASSERT_EQ(points.size(), 4u);
+    const std::vector<SweepPoint> expanded = spec.expand();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const Json &point = points.at(i);
+        Json expected = Json::object();
+        for (const auto &[key, value] : expanded[i].assignment.items())
+            expected.set(key, value);
+        const Json document =
+            runExperiment(ExperimentConfig::fromJson(expanded[i].config))
+                .toJson();
+        for (const auto &[key, value] : document.items())
+            expected.set(key, value);
+        expected.set("config_hash", point.at("config_hash"));
+        EXPECT_EQ(point.dump(), expected.dump()) << i;
+    }
+    EXPECT_EQ(points.at(1).at("demand_profile").size(), 40u);
+
+    const SweepRunnerRegistry &registry = SweepRunnerRegistry::instance();
+    EXPECT_EQ(registry.get("experiment-full").fields(),
+              registry.get("experiment").fields());
 }
 
 TEST(SweepRunners, ZeroPerMsOfAverageThrottlesRelativeToWorkload)
@@ -956,6 +1002,10 @@ TEST(ShippedSpecs, ParseAndExpandToExpectedCounts)
         {"/fig15_arch.json", 60, "experiment"},
         {"/level2_scaling.json", 12, "experiment"},
         {"/ci_smoke.json", 4, "experiment"},
+        // Tables 2, 3 and 9 and Fig 7 at 32 bits.
+        {"/paper_tables.json", 3, "experiment-full"},
+        // Figs 4 and 5b: five strategies x two semantics.
+        {"/fig4_paper.json", 10, "mc-prep"},
     };
     for (const auto &s : specs) {
         const SweepSpec spec =
