@@ -1,6 +1,7 @@
 #include "api/Experiment.hh"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -54,16 +55,24 @@ ionTrapFromJson(const Json &j)
     return tech;
 }
 
+/** `value` as an int; throws std::invalid_argument outside [lo, hi]. */
+int
+checkedInt(const char *field, std::int64_t value, int lo, int hi)
+{
+    if (value < lo || value > hi) {
+        throw std::invalid_argument(
+            std::string(field) + " must be in [" + std::to_string(lo)
+            + ", " + std::to_string(hi) + "], got "
+            + std::to_string(value));
+    }
+    return static_cast<int>(value);
+}
+
 int
 checkedDemandBins(std::int64_t bins)
 {
-    if (bins < 1 || bins > ExperimentConfig::kMaxDemandBins) {
-        throw std::invalid_argument(
-            "demandBins must be in [1, "
-            + std::to_string(ExperimentConfig::kMaxDemandBins)
-            + "], got " + std::to_string(bins));
-    }
-    return static_cast<int>(bins);
+    return checkedInt("demandBins", bins, 1,
+                      ExperimentConfig::kMaxDemandBins);
 }
 
 } // namespace
@@ -102,6 +111,7 @@ ExperimentConfig::microarchConfig() const
     out.generatorsPerSite = generatorsPerSite;
     out.cacheSlots = cacheSlots;
     out.areaBudget = areaBudget;
+    out.tileSize = tileSize;
     out.teleport = teleport;
     return out;
 }
@@ -159,6 +169,7 @@ ExperimentConfig::toJson() const
     j.set("generatorsPerSite", generatorsPerSite);
     j.set("cacheSlots", cacheSlots);
     j.set("areaBudget", areaBudget);
+    j.set("tileSize", tileSize);
     j.set("teleport_ns", teleport);
     j.set("zeroPerMs", zeroPerMs);
     j.set("pi8PerMs", pi8PerMs);
@@ -223,6 +234,9 @@ ExperimentConfig::fromJson(const Json &j)
         j.getInt("cacheSlots", config.cacheSlots));
     config.areaBudget =
         j.getDouble("areaBudget", config.areaBudget);
+    config.tileSize =
+        checkedInt("tileSize", j.getInt("tileSize", config.tileSize), 0,
+                   std::numeric_limits<int>::max());
     config.teleport = j.getInt("teleport_ns", config.teleport);
     config.zeroPerMs = j.getDouble("zeroPerMs", config.zeroPerMs);
     config.pi8PerMs = j.getDouble("pi8PerMs", config.pi8PerMs);

@@ -133,10 +133,15 @@ struct ExperimentConfig
     /** (G)CQLA: compute-cache capacity in logical qubits. */
     int cacheSlots = 24;
 
-    /** FullyMultiplexed: total factory area budget (macroblocks). */
+    /** FullyMultiplexed: total factory area budget (macroblocks,
+     *  > 0). */
     Area areaBudget = 3000;
 
-    /** Teleport latency override in ns; 0 derives from the
+    /** FullyMultiplexed: logical qubits per Figure 16 tile; 0 = one
+     *  region holding every qubit. */
+    int tileSize = 0;
+
+    /** Teleport latency override in ns (>= 0); 0 derives from the
      *  effective technology point at codeLevel. */
     Time teleport = 0;
 
@@ -165,15 +170,17 @@ struct ExperimentConfig
     /** MicroarchConfig equivalent (for the arch-mode run). */
     MicroarchConfig microarchConfig() const;
 
-    /** Paper-parity baseline for one workload (BenchCommon's old
-     *  hand-wired synthesis options, 32 bits). */
+    /** Paper-parity baseline for one workload (literal {H,T}
+     *  synthesis words, 32 bits). */
     static ExperimentConfig paper(const std::string &workload);
 
     /**
      * JSON round-trip; missing keys keep their defaults.
      *
      * @throws std::invalid_argument if a tech.*_ns latency is
-     *         negative or demandBins is out of range
+     *         negative, or demandBins or tileSize is out of range
+     *         (the arch models check the other arch fields when
+     *         they run)
      */
     static ExperimentConfig fromJson(const Json &json);
     Json toJson() const;

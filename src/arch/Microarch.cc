@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "api/ArchModel.hh"
@@ -17,6 +20,31 @@ IonTrapParams
 MicroarchConfig::effTech() const
 {
     return ConcatenatedSteane::effectiveTech(tech, codeLevel);
+}
+
+namespace {
+
+/** Throws std::invalid_argument naming `field` unless value >= min. */
+void
+requireAtLeast(const char *field, std::int64_t value, std::int64_t min)
+{
+    if (value < min) {
+        throw std::invalid_argument(std::string(field) + " must be >= "
+                                    + std::to_string(min) + ", got "
+                                    + std::to_string(value));
+    }
+}
+
+} // namespace
+
+Time
+MicroarchConfig::teleportLatency() const
+{
+    requireAtLeast("teleport_ns", teleport, 0);
+    if (teleport > 0)
+        return teleport;
+    const IonTrapParams eff = effTech();
+    return eff.tprep + 2 * eff.t2q + eff.tmeas + 2 * eff.t1q;
 }
 
 namespace {
@@ -197,9 +225,9 @@ class QlaModel : public ArchModel
     prepare(const DataflowGraph &graph, const EncodedOpModel &model,
             const MicroarchConfig &config) const override
     {
-        const int k = std::max(1, config.generatorsPerSite);
-        return std::make_unique<QlaExecution>(graph, model, config,
-                                              k);
+        requireAtLeast("generatorsPerSite", config.generatorsPerSite, 1);
+        return std::make_unique<QlaExecution>(
+            graph, model, config, config.generatorsPerSite);
     }
 
   private:
@@ -223,15 +251,13 @@ class CqlaExecution : public ArchExecution
           pi8Extra_(pi8Extra(model)),
           tech_(config.effTech()),
           cacheSlots_(config.cacheSlots),
-          cache_(static_cast<std::size_t>(
-              std::max(2, config.cacheSlots)))
+          cache_(static_cast<std::size_t>(config.cacheSlots))
     {
         const SimpleZeroFactory simple(config.effTech());
         const Area tileScale =
             ConcatenatedSteane::tileArea(config.codeLevel);
-        slotBanks_.reserve(static_cast<std::size_t>(
-            std::max(2, config.cacheSlots)));
-        for (int s = 0; s < std::max(2, config.cacheSlots); ++s)
+        slotBanks_.reserve(static_cast<std::size_t>(config.cacheSlots));
+        for (int s = 0; s < config.cacheSlots; ++s)
             slotBanks_.emplace_back(k, simple.latency());
         result.ancillaArea = static_cast<Area>(config.cacheSlots)
             * k * simple.area() * tileScale;
@@ -310,8 +336,10 @@ class CqlaModel : public ArchModel
             const MicroarchConfig &config) const override
     {
         (void)graph;
-        const int k = std::max(1, config.generatorsPerSite);
-        return std::make_unique<CqlaExecution>(model, config, k);
+        requireAtLeast("generatorsPerSite", config.generatorsPerSite, 1);
+        requireAtLeast("cacheSlots", config.cacheSlots, 2);
+        return std::make_unique<CqlaExecution>(
+            model, config, config.generatorsPerSite);
     }
 
   private:
@@ -319,10 +347,12 @@ class CqlaModel : public ArchModel
 };
 
 // ----------------------------------------------------------------
-// Fully-Multiplexed (Qalypso, Section 5.3): a shared farm of
-// pipelined factories feeds all data qubits; ancillae travel a
-// short ballistic hop from the factory output port to the dense
-// data-only region, and data moves ballistically inside it.
+// Fully-Multiplexed (Qalypso, Section 5.3 and Figure 16): the data
+// is cut into tiles of tileSize qubits (one region when tileSize is
+// 0), each a dense data-only region surrounded by its own share of
+// pipelined factories. Ancillae travel a short ballistic hop from a
+// factory output port to the data; data moves ballistically inside
+// a tile and teleports between tiles.
 // ----------------------------------------------------------------
 
 class FmaExecution : public ArchExecution
@@ -333,8 +363,16 @@ class FmaExecution : public ArchExecution
                  const MicroarchConfig &config)
         : model_(model),
           tech_(config.effTech()),
-          nq_(static_cast<int>(graph.circuit().numQubits()))
+          teleport_(config.teleportLatency())
     {
+        const int nq = static_cast<int>(graph.circuit().numQubits());
+        const int region = config.tileSize > 0 && config.tileSize < nq
+            ? config.tileSize
+            : std::max(nq, 1);
+        tileSize_ = static_cast<Qubit>(region);
+        ballistic_ = ballistic2q(region, tech_);
+        const int tiles = std::max(1, (nq + region - 1) / region);
+
         // Area per unit delivered bandwidth and pipeline fill
         // latency for each product at the configured code level.
         // Each pi/8 ancilla also consumes one zero, hence the
@@ -359,7 +397,8 @@ class FmaExecution : public ArchExecution
         }
 
         // Split the budget between the zero farm and the pi/8 chain
-        // in proportion to the circuit's demand mix.
+        // in proportion to the circuit's demand mix, and each farm
+        // evenly between the tiles.
         std::uint64_t zero_demand = 0;
         std::uint64_t pi8_demand = 0;
         for (const Gate &g : graph.circuit().gates()) {
@@ -375,43 +414,59 @@ class FmaExecution : public ArchExecution
         const double scale =
             weighted > 0 ? config.areaBudget / weighted : 0;
         const BandwidthPerMs zero_bw =
-            static_cast<double>(zero_demand) * scale;
+            static_cast<double>(zero_demand) * scale / tiles;
         const BandwidthPerMs pi8_bw =
-            static_cast<double>(pi8_demand) * scale;
-        zeros_ = std::make_unique<RateTokenPool>(zero_bw, zero_fill);
-        pi8s_ = std::make_unique<RateTokenPool>(pi8_bw, pi8_fill);
+            static_cast<double>(pi8_demand) * scale / tiles;
+        zeros_.assign(static_cast<std::size_t>(tiles),
+                      RateTokenPool(zero_bw, zero_fill));
+        pi8s_.assign(static_cast<std::size_t>(tiles),
+                     RateTokenPool(pi8_bw, pi8_fill));
         result.ancillaArea = config.areaBudget;
     }
 
     Time
     moveOverhead(const Gate &g) override
     {
-        // Dense data-only region, ballistic hops.
+        // Ballistic hops inside a tile, teleports between tiles.
         Time penalty = ancillaHop(tech_);
-        if (g.arity() == 2)
-            penalty += ballistic2q(nq_, tech_);
+        if (g.arity() == 2) {
+            if (tileOf(g.ops[0]) == tileOf(g.ops[1])) {
+                penalty += ballistic_;
+            } else {
+                ++result.teleports;
+                penalty += teleport_;
+            }
+        }
         return penalty;
     }
 
     Time
     ancillaReady(const Gate &g, Time now) override
     {
+        // The QEC step runs in the tile of the last operand, fed by
+        // that tile's factories.
+        const std::size_t home = tileOf(
+            g.ops[static_cast<std::size_t>(g.arity() - 1)]);
         Time ready = now;
         const int z = model_.zeroAncillae(g);
         const int p = model_.pi8Ancillae(g);
         if (z > 0)
-            ready = std::max(ready, zeros_->claim(z));
+            ready = std::max(ready, zeros_[home].claim(z));
         if (p > 0)
-            ready = std::max(ready, pi8s_->claim(p));
+            ready = std::max(ready, pi8s_[home].claim(p));
         return ready;
     }
 
   private:
+    std::size_t tileOf(Qubit q) const { return q / tileSize_; }
+
     const EncodedOpModel &model_;
     const IonTrapParams tech_;
-    const int nq_;
-    std::unique_ptr<RateTokenPool> zeros_;
-    std::unique_ptr<RateTokenPool> pi8s_;
+    const Time teleport_;
+    Qubit tileSize_ = 1;
+    Time ballistic_ = 0;
+    std::vector<RateTokenPool> zeros_;
+    std::vector<RateTokenPool> pi8s_;
 };
 
 class FmaModel : public ArchModel
@@ -423,6 +478,14 @@ class FmaModel : public ArchModel
     prepare(const DataflowGraph &graph, const EncodedOpModel &model,
             const MicroarchConfig &config) const override
     {
+        // A non-positive budget would read as unbounded supply in
+        // RateTokenPool, so it is refused rather than run.
+        if (!(config.areaBudget > 0)) {
+            std::ostringstream msg;
+            msg << "areaBudget must be > 0, got " << config.areaBudget;
+            throw std::invalid_argument(msg.str());
+        }
+        requireAtLeast("tileSize", config.tileSize, 0);
         return std::make_unique<FmaExecution>(graph, model, config);
     }
 };

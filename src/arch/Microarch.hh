@@ -2,7 +2,8 @@
  * @file
  * Microarchitecture models for the paper's Section 5.2 latency/area
  * evaluation (Figure 15): QLA, GQLA, CQLA, GCQLA and the
- * fully-multiplexed ancilla distribution used by Qalypso.
+ * fully-multiplexed ancilla distribution used by Qalypso, whose
+ * tiled form (Section 5.3, Figure 16) is the same model.
  *
  * All five share the same event-driven dataflow executor; they
  * differ in where encoded ancillae come from and what data movement
@@ -18,16 +19,21 @@
  *    teleport-in (plus a writeback teleport when a dirty qubit is
  *    evicted). LRU replacement, as in sim-cache.
  *  - GCQLA: CQLA with k parallel generators per cache slot.
- *  - Fully-Multiplexed (Qalypso, Section 5.3): a shared farm of
- *    pipelined factories feeds all data qubits; ancillae travel a
- *    short ballistic hop from the factory output port to the dense
- *    data-only region, and data moves ballistically inside it.
+ *  - Fully-Multiplexed (Qalypso, Section 5.3): shared farms of
+ *    pipelined factories feed dense data-only regions; ancillae
+ *    travel a short ballistic hop from a factory output port to
+ *    the data, and data moves ballistically inside a region. With
+ *    MicroarchConfig::tileSize the data is cut into the tiles of
+ *    Figure 16: each tile owns its share of the factory farm, and
+ *    two-qubit gates between tiles teleport. tileSize 0 is one
+ *    region holding every qubit.
  *
  * The models are implemented as qc::ArchModel subclasses registered
  * in qc::ArchRegistry (api/ArchModel.hh) under the keys "qla",
  * "gqla", "cqla", "gcqla" and "fma"; run one through the registry
  * or qc::Experiment. This header holds the per-run knobs and the
- * outcome record they share.
+ * outcome record they share. A knob out of its documented range
+ * makes the model that reads it throw std::invalid_argument.
  */
 
 #ifndef QC_ARCH_MICROARCH_HH
@@ -69,16 +75,24 @@ struct MicroarchConfig
     int cacheSlots = 24;
 
     /**
-     * FullyMultiplexed: total factory area budget (macroblocks),
-     * split between the zero-factory farm and the pi/8 chain in
-     * proportion to the circuit's ancilla demand mix.
+     * FullyMultiplexed: total factory area budget (macroblocks,
+     * > 0), split between the zero-factory farm and the pi/8 chain
+     * in proportion to the circuit's ancilla demand mix, and
+     * evenly between the tiles.
      */
     Area areaBudget = 3000;
 
     /**
+     * FullyMultiplexed: logical qubits per Figure 16 tile
+     * (contiguous index blocks); 0 means one region holding every
+     * qubit, as does any size >= the qubit count.
+     */
+    int tileSize = 0;
+
+    /**
      * Teleportation latency between tiles / to the compute cache
-     * (EPR prep, transversal Bell measurement and fix-up). Zero
-     * means "derive from the effective technology point"
+     * (EPR prep, transversal Bell measurement and fix-up), >= 0.
+     * Zero means "derive from the effective technology point"
      * (tprep + 2 t2q + tmeas + 2 t1q at the configured codeLevel).
      */
     Time teleport = 0;
@@ -89,15 +103,12 @@ struct MicroarchConfig
      */
     IonTrapParams effTech() const;
 
-    /** Derived teleport latency. */
-    Time
-    teleportLatency() const
-    {
-        if (teleport > 0)
-            return teleport;
-        const IonTrapParams eff = effTech();
-        return eff.tprep + 2 * eff.t2q + eff.tmeas + 2 * eff.t1q;
-    }
+    /**
+     * Derived teleport latency.
+     *
+     * @throws std::invalid_argument if teleport is negative
+     */
+    Time teleportLatency() const;
 };
 
 /** Outcome of one microarchitecture run. */

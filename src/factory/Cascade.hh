@@ -20,8 +20,8 @@
  *    each measurement has an equal chance of requiring the next,
  *    larger rotation. The paper does not use this construction in
  *    its main circuits (it requires arbitrary-precision physical
- *    rotations) but analyzes its data-critical-path advantage; this
- *    model backs the corresponding ablation bench.
+ *    rotations) but analyzes its data-critical-path advantage;
+ *    tests/test_factory.cc pins its expected latency per k.
  *
  * Units: bandwidths in items/ms, areas in macroblocks, times in ns.
  */

@@ -70,6 +70,7 @@ class ExperimentRunner : public SweepRunner
             "tech.tprep_ns",
             "tech.tturn_ns",
             "teleport_ns",
+            "tileSize",
             "timeLimit_ns",
             "workload",
             "zeroPerMs",

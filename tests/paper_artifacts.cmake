@@ -13,7 +13,8 @@ set(artifacts
     level2_scaling=level2
     fig4_grid=fig4_sweep
     paper_tables=paper_tables
-    fig4_paper=fig4_paper)
+    fig4_paper=fig4_paper
+    fig16_tiles=fig16_tiles)
 
 file(MAKE_DIRECTORY ${WORK_DIR})
 foreach(pair ${artifacts})

@@ -310,6 +310,7 @@ nonDefaultConfig()
     config.generatorsPerSite = 4;
     config.cacheSlots = 12;
     config.areaBudget = 12345.5;
+    config.tileSize = 48;
     config.teleport = usec(99);
     config.zeroPerMs = 33.25;
     config.pi8PerMs = 4.5;
@@ -348,6 +349,7 @@ expectConfigsEqual(const ExperimentConfig &a,
     EXPECT_EQ(a.generatorsPerSite, b.generatorsPerSite);
     EXPECT_EQ(a.cacheSlots, b.cacheSlots);
     EXPECT_DOUBLE_EQ(a.areaBudget, b.areaBudget);
+    EXPECT_EQ(a.tileSize, b.tileSize);
     EXPECT_EQ(a.teleport, b.teleport);
     EXPECT_DOUBLE_EQ(a.zeroPerMs, b.zeroPerMs);
     EXPECT_DOUBLE_EQ(a.pi8PerMs, b.pi8PerMs);
@@ -423,6 +425,36 @@ TEST(ExperimentConfig, OutOfRangeValuesThrow)
     small.demandBins = ExperimentConfig::kMaxDemandBins;
     EXPECT_EQ(runExperiment(small).demandProfile.size(),
               static_cast<std::size_t>(ExperimentConfig::kMaxDemandBins));
+}
+
+TEST(ExperimentConfig, OutOfRangeArchFieldsThrowWhenRun)
+{
+    // The arch models check the fields they read, so the C++ path
+    // refuses what the JSON path does.
+    ExperimentConfig base;
+    base.params.bits = 4;
+    base.schedule = ScheduleMode::Arch;
+    const auto expectRunThrows = [&](const char *arch, auto set) {
+        ExperimentConfig config = base;
+        config.arch = arch;
+        set(config);
+        EXPECT_THROW(runExperiment(config), std::invalid_argument)
+            << arch;
+    };
+    using C = ExperimentConfig;
+    expectRunThrows("gqla", [](C &c) { c.generatorsPerSite = 0; });
+    expectRunThrows("gcqla", [](C &c) { c.generatorsPerSite = -1; });
+    expectRunThrows("cqla", [](C &c) { c.cacheSlots = 1; });
+    expectRunThrows("fma", [](C &c) { c.areaBudget = 0; });
+    expectRunThrows("fma", [](C &c) { c.areaBudget = -5; });
+    expectRunThrows("qla", [](C &c) { c.teleport = -5; });
+    expectRunThrows("fma", [](C &c) { c.tileSize = -1; });
+    for (const char *tile : {"-1", "2147483648"}) {
+        EXPECT_THROW(ExperimentConfig::fromJson(Json::parse(
+                         std::string("{\"tileSize\": ") + tile + "}")),
+                     std::invalid_argument)
+            << tile;
+    }
 }
 
 TEST(ExperimentConfig, ScheduleModeNamesRoundTrip)

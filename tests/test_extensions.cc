@@ -2,14 +2,15 @@
  * @file
  * Tests for the extension components: the event-level factory farm
  * simulation (cross-validating the analytic Table 6 design), the
- * tiled Qalypso model (Fig 16), and the on-demand token pools that
+ * tiled Qalypso model (Fig 16, the "fma" architecture with a
+ * tileSize), and the on-demand token pools that
  * underpin the microarchitecture comparisons.
  */
 
 #include <gtest/gtest.h>
 
+#include "api/ArchModel.hh"
 #include "api/Workload.hh"
-#include "arch/QalypsoTile.hh"
 #include "arch/SpeedOfData.hh"
 #include "circuit/Dataflow.hh"
 #include "factory/FarmSim.hh"
@@ -126,7 +127,7 @@ TEST_F(FarmSimTest, LowerAcceptanceLowersThroughput)
 }
 
 // ---------------------------------------------------------------
-// Tiled Qalypso (Fig 16).
+// Tiled Qalypso (Fig 16): the "fma" model with a tileSize.
 // ---------------------------------------------------------------
 
 class QalypsoTileTest : public ::testing::Test
@@ -145,89 +146,87 @@ class QalypsoTileTest : public ::testing::Test
         return w;
     }
 
+    static int
+    numQubits()
+    {
+        return static_cast<int>(qrca8().lowered.circuit.numQubits());
+    }
+
+    ArchRunResult
+    run(int tileSize, Area areaBudget = 4000) const
+    {
+        const DataflowGraph g(qrca8().lowered.circuit);
+        MicroarchConfig config;
+        config.tileSize = tileSize;
+        config.areaBudget = areaBudget;
+        return ArchRegistry::instance().get("fma").run(g, model_,
+                                                       config);
+    }
+
     EncodedOpModel model_{IonTrapParams::paper()};
 };
 
-TEST_F(QalypsoTileTest, SingleTileHasNoTeleports)
+TEST_F(QalypsoTileTest, TeleportsAreTheCrossTileTwoQubitGates)
 {
-    DataflowGraph g(qrca8().lowered.circuit);
-    QalypsoConfig config;
-    config.tileSize =
-        static_cast<int>(qrca8().lowered.circuit.numQubits());
-    config.factoryAreaPerTile = 4000;
-    const QalypsoRunResult r = runQalypso(g, model_, config);
-    EXPECT_EQ(r.tiles, 1);
-    EXPECT_EQ(r.interTile2q, 0u);
-    EXPECT_EQ(r.teleports, 0u);
-    EXPECT_GT(r.intraTile2q, 0u);
+    for (int tile : {2, 10, 16, numQubits()}) {
+        std::uint64_t twoQubit = 0;
+        std::uint64_t crossTile = 0;
+        for (const Gate &g : qrca8().lowered.circuit.gates()) {
+            if (g.arity() != 2)
+                continue;
+            ++twoQubit;
+            if (g.ops[0] / static_cast<Qubit>(tile)
+                != g.ops[1] / static_cast<Qubit>(tile))
+                ++crossTile;
+        }
+        EXPECT_EQ(run(tile).teleports, crossTile) << "tile " << tile;
+        if (tile == 2) {
+            EXPECT_GT(crossTile, twoQubit * 3 / 10);
+        }
+        if (tile == numQubits()) {
+            EXPECT_EQ(crossTile, 0u);
+        }
+    }
 }
 
-TEST_F(QalypsoTileTest, TinyTilesTeleportHeavily)
+TEST_F(QalypsoTileTest, UntiledAndOversizedTilesAgree)
 {
-    DataflowGraph g(qrca8().lowered.circuit);
-    QalypsoConfig config;
-    config.tileSize = 2;
-    config.factoryAreaPerTile = 400;
-    const QalypsoRunResult r = runQalypso(g, model_, config);
-    EXPECT_GT(r.interTileFraction(), 0.3);
-    EXPECT_GT(r.teleports, 0u);
-}
-
-TEST_F(QalypsoTileTest, TileCountCoversAllQubits)
-{
-    DataflowGraph g(qrca8().lowered.circuit);
-    const int nq =
-        static_cast<int>(qrca8().lowered.circuit.numQubits());
-    QalypsoConfig config;
-    config.tileSize = 10;
-    const QalypsoRunResult r = runQalypso(g, model_, config);
-    EXPECT_EQ(r.tiles, (nq + 9) / 10);
-    EXPECT_DOUBLE_EQ(r.totalFactoryArea,
-                     config.factoryAreaPerTile * r.tiles);
+    const ArchRunResult untiled = run(0);
+    for (int tile : {numQubits(), 10 * numQubits()}) {
+        const ArchRunResult r = run(tile);
+        EXPECT_EQ(r.makespan, untiled.makespan) << "tile " << tile;
+        EXPECT_EQ(r.teleports, 0u);
+        EXPECT_EQ(r.zerosConsumed, untiled.zerosConsumed);
+        EXPECT_EQ(r.pi8Consumed, untiled.pi8Consumed);
+        EXPECT_DOUBLE_EQ(r.ancillaArea, untiled.ancillaArea);
+    }
 }
 
 TEST_F(QalypsoTileTest, AncillaAccountingMatchesSpeedOfData)
 {
-    DataflowGraph g(qrca8().lowered.circuit);
+    const DataflowGraph g(qrca8().lowered.circuit);
     const BandwidthSummary bw = bandwidthAtSpeedOfData(g, model_);
-    QalypsoConfig config;
-    config.tileSize = 16;
-    const QalypsoRunResult r = runQalypso(g, model_, config);
+    const ArchRunResult r = run(16);
     EXPECT_EQ(r.zerosConsumed, bw.zerosConsumed);
     EXPECT_EQ(r.pi8Consumed, bw.pi8Consumed);
 }
 
 TEST_F(QalypsoTileTest, MoreFactoryAreaNeverSlower)
 {
-    DataflowGraph g(qrca8().lowered.circuit);
-    QalypsoConfig small;
-    small.tileSize = 16;
-    small.factoryAreaPerTile = 300;
-    QalypsoConfig big = small;
-    big.factoryAreaPerTile = 3000;
-    const Time slow = runQalypso(g, model_, small).makespan;
-    const Time fast = runQalypso(g, model_, big).makespan;
-    EXPECT_LE(fast, slow);
+    EXPECT_LE(run(16, 3000).makespan, run(16, 300).makespan);
 }
 
 TEST_F(QalypsoTileTest, RunsSlowerThanSpeedOfData)
 {
-    DataflowGraph g(qrca8().lowered.circuit);
+    const DataflowGraph g(qrca8().lowered.circuit);
     const BandwidthSummary bw = bandwidthAtSpeedOfData(g, model_);
-    QalypsoConfig config;
-    config.tileSize = 16;
-    config.factoryAreaPerTile = 2000;
-    const QalypsoRunResult r = runQalypso(g, model_, config);
-    EXPECT_GE(r.makespan, bw.runtime);
+    EXPECT_GE(run(16).makespan, bw.runtime);
 }
 
 TEST_F(QalypsoTileTest, DeterministicAcrossRuns)
 {
-    DataflowGraph g(qrca8().lowered.circuit);
-    QalypsoConfig config;
-    config.tileSize = 8;
-    const QalypsoRunResult a = runQalypso(g, model_, config);
-    const QalypsoRunResult b = runQalypso(g, model_, config);
+    const ArchRunResult a = run(8);
+    const ArchRunResult b = run(8);
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.teleports, b.teleports);
 }

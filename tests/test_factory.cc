@@ -371,6 +371,21 @@ TEST(Cascade, ExpectedLatencyBelowWorstCase)
     }
 }
 
+TEST(Cascade, Figure6LatencyColumn)
+{
+    // Expected data-path latency of an exact pi/2^k, k = 3..10: the
+    // expected stage count (1, 1.5, 1.75, ... -> 2) times one CX +
+    // measurement + X, 61 us at the Table 1 latencies.
+    const IonTrapParams tech = IonTrapParams::paper();
+    const Time expected[] = {61000,  91500,  106750, 114375,
+                             118187, 120093, 121046, 121523};
+    for (int k = 3; k <= 10; ++k) {
+        EXPECT_EQ(CascadeModel::expectedDataLatency(k, tech),
+                  expected[k - 3])
+            << "k=" << k;
+    }
+}
+
 TEST(Cascade, WorstCaseGrowsLinearly)
 {
     const IonTrapParams tech;

@@ -220,6 +220,7 @@ const std::set<std::string> kSemantic = {
     "tech.tprep_ns",
     "tech.tturn_ns",
     "teleport_ns",
+    "tileSize",
     "timeLimit_ns",
     "workload",
     "zeroPerMs",

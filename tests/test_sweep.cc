@@ -432,6 +432,39 @@ TEST(SweepEngine, OutOfRangeDemandBinsAreCapturedNotFatal)
     }
 }
 
+TEST(SweepEngine, OutOfRangeArchFieldsAreCapturedNotFatal)
+{
+    // The model that reads each value refuses it, rather than
+    // clamping it, reading it as unbounded supply, or replacing it
+    // with the derived latency.
+    const struct
+    {
+        const char *arch;
+        const char *field;
+        const char *values;
+    } cases[] = {
+        {"gqla", "generatorsPerSite", "[1, 0]"},
+        {"gqla", "generatorsPerSite", "[1, -1]"},
+        {"gcqla", "generatorsPerSite", "[1, 0]"},
+        {"cqla", "cacheSlots", "[24, 1]"},
+        {"cqla", "cacheSlots", "[24, -1]"},
+        {"fma", "areaBudget", "[3000, 0]"},
+        {"fma", "areaBudget", "[3000, -5]"},
+        {"qla", "teleport_ns", "[0, -5]"},
+        {"cqla", "teleport_ns", "[0, -5]"},
+        {"fma", "teleport_ns", "[0, -5]"},
+        {"fma", "tileSize", "[16, -1]"},
+        {"fma", "tileSize", "[16, 4294967296]"},
+    };
+    for (const auto &c : cases) {
+        expectSecondPointFails(
+            std::string(R"({"workload": "qrca", "bits": 8, )"
+                        R"("schedule": "arch", "arch": ")")
+                + c.arch + "\"}",
+            c.field, c.values, c.field);
+    }
+}
+
 TEST(SweepEngine, ProgressReportsEveryPointOnce)
 {
     std::size_t calls = 0;
@@ -1006,6 +1039,8 @@ TEST(ShippedSpecs, ParseAndExpandToExpectedCounts)
         {"/paper_tables.json", 3, "experiment-full"},
         // Figs 4 and 5b: five strategies x two semantics.
         {"/fig4_paper.json", 10, "mc-prep"},
+        // Fig 16 tile sizes: three workloads x six tile sizes.
+        {"/fig16_tiles.json", 18, "experiment-full"},
     };
     for (const auto &s : specs) {
         const SweepSpec spec =
