@@ -1,10 +1,9 @@
 #include "api/ArchModel.hh"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 
-#include "sim/Simulator.hh"
+#include "sim/EventLoop.hh"
 
 namespace qc {
 
@@ -14,45 +13,26 @@ ArchModel::run(const DataflowGraph &graph,
                const MicroarchConfig &config) const
 {
     const auto &gates = graph.circuit().gates();
-    const auto n = static_cast<NodeId>(graph.numNodes());
-
-    Simulator sim;
     const std::unique_ptr<ArchExecution> exec =
         prepare(graph, model, config);
+    ArchRunResult &result = exec->result;
 
-    std::vector<int> missing(n, 0);
-    for (NodeId i = 0; i < n; ++i)
-        missing[i] = static_cast<int>(graph.preds(i).size());
-
-    std::function<void(NodeId)> launch = [&](NodeId node) {
+    result.makespan = runDataflow(graph, [&](NodeId node, Time now) {
         const Gate &g = gates[node];
         // Movement/cache bookkeeping first: it determines the QEC
         // site whose bank the ancilla claim goes to.
         const Time overhead = exec->moveOverhead(g);
-        exec->result.zerosConsumed +=
+        result.zerosConsumed +=
             static_cast<std::uint64_t>(model.zeroAncillae(g));
-        exec->result.pi8Consumed +=
+        result.pi8Consumed +=
             static_cast<std::uint64_t>(model.pi8Ancillae(g));
-        const Time start =
-            std::max(sim.now(), exec->ancillaReady(g, sim.now()));
+        const Time start = std::max(now, exec->ancillaReady(g, now));
         Time latency = overhead + model.dataLatency(g);
         if (model.needsQec(g.kind))
             latency += model.qecInteractLatency();
-        sim.schedule(start + latency, [&, node]() {
-            exec->result.makespan =
-                std::max(exec->result.makespan, sim.now());
-            for (NodeId succ : graph.succs(node)) {
-                if (--missing[succ] == 0)
-                    launch(succ);
-            }
-        });
-    };
-
-    for (NodeId root : graph.roots())
-        sim.schedule(0, [&, root]() { launch(root); });
-
-    sim.run();
-    return exec->result;
+        return start + latency;
+    }).makespan;
+    return result;
 }
 
 ArchRegistry &

@@ -34,16 +34,22 @@ ionTrapToJson(const IonTrapParams &tech)
     return j;
 }
 
+/** `value`; throws std::invalid_argument if it is negative or NaN. */
+template <typename T>
+T
+nonNegative(const std::string &field, T value)
+{
+    if (!(value >= 0))
+        throw std::invalid_argument(field + " must be >= 0, got "
+                                    + std::to_string(value));
+    return value;
+}
+
 IonTrapParams
 ionTrapFromJson(const Json &j)
 {
     const auto latency = [&j](const std::string &key, Time fallback) {
-        const Time t = j.getInt(key, fallback);
-        if (t < 0) {
-            throw std::invalid_argument("tech." + key + " must be >= 0, got "
-                                        + std::to_string(t));
-        }
-        return t;
+        return nonNegative("tech." + key, j.getInt(key, fallback));
     };
     IonTrapParams tech;
     tech.t1q = latency("t1q_ns", tech.t1q);
@@ -57,7 +63,9 @@ ionTrapFromJson(const Json &j)
 
 /** `value` as an int; throws std::invalid_argument outside [lo, hi]. */
 int
-checkedInt(const char *field, std::int64_t value, int lo, int hi)
+checkedInt(const char *field, std::int64_t value,
+           int lo = std::numeric_limits<int>::min(),
+           int hi = std::numeric_limits<int>::max())
 {
     if (value < lo || value > hi) {
         throw std::invalid_argument(
@@ -183,33 +191,36 @@ ExperimentConfig::fromJson(const Json &j)
 {
     ExperimentConfig config;
     config.workload = j.getString("workload", config.workload);
-    config.params.bits = static_cast<int>(
-        j.getInt("bits", config.params.bits));
+    config.params.bits =
+        checkedInt("bits", j.getInt("bits", config.params.bits));
     if (j.has("lowering")) {
-        config.params.lowering.maxRotK = static_cast<int>(
-            j.at("lowering").getInt(
-                "maxRotK", config.params.lowering.maxRotK));
+        config.params.lowering.maxRotK = checkedInt(
+            "lowering.maxRotK",
+            j.at("lowering").getInt("maxRotK",
+                                    config.params.lowering.maxRotK));
     }
     if (j.has("qft")) {
         const Json &qft = j.at("qft");
-        config.params.qft.maxK = static_cast<int>(
-            qft.getInt("maxK", config.params.qft.maxK));
+        config.params.qft.maxK = checkedInt(
+            "qft.maxK", qft.getInt("maxK", config.params.qft.maxK));
         config.params.qft.withSwaps =
             qft.getBool("withSwaps", config.params.qft.withSwaps);
     }
     if (j.has("synth")) {
         const Json &synth = j.at("synth");
-        config.synth.maxSyllables = static_cast<int>(synth.getInt(
-            "maxSyllables", config.synth.maxSyllables));
+        config.synth.maxSyllables = checkedInt(
+            "synth.maxSyllables",
+            synth.getInt("maxSyllables", config.synth.maxSyllables));
         config.synth.maxError =
             synth.getDouble("maxError", config.synth.maxError);
         config.synth.pureHT =
             synth.getBool("pureHT", config.synth.pureHT);
-        config.synth.tCostWeight = static_cast<int>(synth.getInt(
-            "tCostWeight", config.synth.tCostWeight));
+        config.synth.tCostWeight = checkedInt(
+            "synth.tCostWeight",
+            synth.getInt("tCostWeight", config.synth.tCostWeight));
     }
-    config.codeLevel = static_cast<int>(
-        j.getInt("codeLevel", config.codeLevel));
+    config.codeLevel =
+        checkedInt("codeLevel", j.getInt("codeLevel", config.codeLevel));
     config.calibrateFactories = j.getBool(
         "calibrateFactories", config.calibrateFactories);
     config.calibrationTrials =
@@ -228,19 +239,24 @@ ExperimentConfig::fromJson(const Json &j)
     config.schedule = scheduleModeFromName(j.getString(
         "schedule", scheduleModeName(config.schedule)));
     config.arch = j.getString("arch", config.arch);
-    config.generatorsPerSite = static_cast<int>(
-        j.getInt("generatorsPerSite", config.generatorsPerSite));
-    config.cacheSlots = static_cast<int>(
-        j.getInt("cacheSlots", config.cacheSlots));
+    config.generatorsPerSite = checkedInt(
+        "generatorsPerSite",
+        j.getInt("generatorsPerSite", config.generatorsPerSite), 1,
+        MicroarchConfig::kMaxGeneratorsPerSite);
+    config.cacheSlots =
+        checkedInt("cacheSlots", j.getInt("cacheSlots", config.cacheSlots),
+                   2, MicroarchConfig::kMaxCacheSlots);
     config.areaBudget =
         j.getDouble("areaBudget", config.areaBudget);
     config.tileSize =
-        checkedInt("tileSize", j.getInt("tileSize", config.tileSize), 0,
-                   std::numeric_limits<int>::max());
+        checkedInt("tileSize", j.getInt("tileSize", config.tileSize), 0);
     config.teleport = j.getInt("teleport_ns", config.teleport);
-    config.zeroPerMs = j.getDouble("zeroPerMs", config.zeroPerMs);
-    config.pi8PerMs = j.getDouble("pi8PerMs", config.pi8PerMs);
-    config.timeLimit = j.getInt("timeLimit_ns", config.timeLimit);
+    config.zeroPerMs =
+        nonNegative("zeroPerMs", j.getDouble("zeroPerMs", config.zeroPerMs));
+    config.pi8PerMs =
+        nonNegative("pi8PerMs", j.getDouble("pi8PerMs", config.pi8PerMs));
+    config.timeLimit = nonNegative(
+        "timeLimit_ns", j.getInt("timeLimit_ns", config.timeLimit));
     config.demandBins = checkedDemandBins(
         j.getInt("demandBins", config.demandBins));
     return config;
@@ -509,10 +525,8 @@ Experiment::analytics(const ExperimentConfig &variant)
         out.calibrationTrials = variant.calibrationTrials;
         out.errors = variant.errors;
         out.demandBins = bins;
-        out.split = latencySplit(graph, model);
-        out.bandwidth = bandwidthAtSpeedOfData(graph, model);
-        out.demandProfile = ancillaDemandProfile(
-            graph, model, static_cast<std::size_t>(bins));
+        out.sod =
+            speedOfData(graph, model, static_cast<std::size_t>(bins));
         if (variant.codeLevel >= 2) {
             // Level-2 cascades; optionally with both verification
             // acceptances measured by the recursive Monte Carlo.
@@ -529,8 +543,8 @@ Experiment::analytics(const ExperimentConfig &variant)
                     : Level2ZeroFactory(tech);
             const Level2Pi8Factory pi8(tech);
             out.allocation = allocateForBandwidthLevel2(
-                zero, pi8, out.bandwidth.zeroPerMs(),
-                out.bandwidth.pi8PerMs());
+                zero, pi8, out.sod.bandwidth.zeroPerMs(),
+                out.sod.bandwidth.pi8PerMs());
             out.zeroUnitThroughput = zero.throughput();
             out.pi8UnitThroughput = pi8.throughput();
         } else {
@@ -544,8 +558,8 @@ Experiment::analytics(const ExperimentConfig &variant)
                     : ZeroFactory(tech);
             const Pi8Factory pi8(tech);
             out.allocation = allocateForBandwidth(
-                zero, pi8, out.bandwidth.zeroPerMs(),
-                out.bandwidth.pi8PerMs());
+                zero, pi8, out.sod.bandwidth.zeroPerMs(),
+                out.sod.bandwidth.pi8PerMs());
             out.zeroUnitThroughput = zero.throughput();
             out.pi8UnitThroughput = pi8.throughput();
         }
@@ -589,9 +603,9 @@ Experiment::run(const ExperimentConfig &variant)
     // The speed-of-data analytics are the common yardstick every
     // schedule mode is reported against.
     const Analytics &cached = analytics(variant);
-    result.split = cached.split;
-    result.bandwidth = cached.bandwidth;
-    result.demandProfile = cached.demandProfile;
+    result.split = cached.sod.split;
+    result.bandwidth = cached.sod.bandwidth;
+    result.demandProfile = cached.sod.demandProfile;
     result.allocation = cached.allocation;
 
     switch (variant.schedule) {

@@ -130,7 +130,8 @@ struct ExperimentConfig
     /** (G)QLA / (G)CQLA: parallel generators per site. */
     int generatorsPerSite = 1;
 
-    /** (G)CQLA: compute-cache capacity in logical qubits. */
+    /** (G)CQLA: compute-cache capacity in logical qubits (both
+     *  ranges: MicroarchConfig). */
     int cacheSlots = 24;
 
     /** FullyMultiplexed: total factory area budget (macroblocks,
@@ -146,17 +147,17 @@ struct ExperimentConfig
     Time teleport = 0;
 
     // --- Throttled mode --------------------------------------------
-    /** Encoded-zero supply rate (ancillae per ms); 0 = use the
-     *  sized allocation's provisioned rate. */
+    /** Encoded-zero supply rate (ancillae per ms, >= 0); 0 = use
+     *  the sized allocation's provisioned rate. */
     BandwidthPerMs zeroPerMs = 0;
 
-    /** Encoded-pi/8 supply rate (ancillae per ms); 0 =
+    /** Encoded-pi/8 supply rate (ancillae per ms, >= 0); 0 =
      *  unconstrained. */
     BandwidthPerMs pi8PerMs = 0;
 
     /**
-     * Throttled-run budget in ns: cut the simulation off at this
-     * time and report a partial result. 0 = run to completion.
+     * Throttled-run budget in ns (>= 0): cut the simulation off at
+     * this time and report a partial result. 0 = run to completion.
      */
     Time timeLimit = 0;
 
@@ -177,10 +178,12 @@ struct ExperimentConfig
     /**
      * JSON round-trip; missing keys keep their defaults.
      *
-     * @throws std::invalid_argument if a tech.*_ns latency is
-     *         negative, or demandBins or tileSize is out of range
-     *         (the arch models check the other arch fields when
-     *         they run)
+     * @throws std::invalid_argument if an integer field does not
+     *         fit an int; a tech.*_ns latency, zeroPerMs, pi8PerMs
+     *         or timeLimit_ns is negative (or NaN); or demandBins,
+     *         generatorsPerSite, cacheSlots or tileSize is out of
+     *         range (the arch models check the other arch fields
+     *         when they run)
      */
     static ExperimentConfig fromJson(const Json &json);
     Json toJson() const;
@@ -347,9 +350,7 @@ class Experiment
         std::uint64_t calibrationTrials = 0;
         ErrorParams errors;
         int demandBins = 0;
-        LatencySplit split;
-        BandwidthSummary bandwidth;
-        std::vector<double> demandProfile;
+        SpeedOfData sod;
         FactoryAllocation allocation;
         /** Delivered bandwidth of one provisioned zero / pi/8
          *  factory at this level (per ms), for the throttled-mode

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -24,15 +25,20 @@ MicroarchConfig::effTech() const
 
 namespace {
 
-/** Throws std::invalid_argument naming `field` unless value >= min. */
+/** Throws std::invalid_argument naming `field` unless lo <= value <= hi. */
 void
-requireAtLeast(const char *field, std::int64_t value, std::int64_t min)
+requireInRange(const char *field, std::int64_t value, std::int64_t lo,
+               std::int64_t hi = std::numeric_limits<std::int64_t>::max())
 {
-    if (value < min) {
-        throw std::invalid_argument(std::string(field) + " must be >= "
-                                    + std::to_string(min) + ", got "
-                                    + std::to_string(value));
-    }
+    if (value >= lo && value <= hi)
+        return;
+    throw std::invalid_argument(
+        std::string(field) + " must be "
+        + (hi == std::numeric_limits<std::int64_t>::max()
+               ? ">= " + std::to_string(lo)
+               : "in [" + std::to_string(lo) + ", " + std::to_string(hi)
+                     + "]")
+        + ", got " + std::to_string(value));
 }
 
 } // namespace
@@ -40,7 +46,7 @@ requireAtLeast(const char *field, std::int64_t value, std::int64_t min)
 Time
 MicroarchConfig::teleportLatency() const
 {
-    requireAtLeast("teleport_ns", teleport, 0);
+    requireInRange("teleport_ns", teleport, 0);
     if (teleport > 0)
         return teleport;
     const IonTrapParams eff = effTech();
@@ -225,7 +231,8 @@ class QlaModel : public ArchModel
     prepare(const DataflowGraph &graph, const EncodedOpModel &model,
             const MicroarchConfig &config) const override
     {
-        requireAtLeast("generatorsPerSite", config.generatorsPerSite, 1);
+        requireInRange("generatorsPerSite", config.generatorsPerSite, 1,
+                       MicroarchConfig::kMaxGeneratorsPerSite);
         return std::make_unique<QlaExecution>(
             graph, model, config, config.generatorsPerSite);
     }
@@ -336,8 +343,10 @@ class CqlaModel : public ArchModel
             const MicroarchConfig &config) const override
     {
         (void)graph;
-        requireAtLeast("generatorsPerSite", config.generatorsPerSite, 1);
-        requireAtLeast("cacheSlots", config.cacheSlots, 2);
+        requireInRange("generatorsPerSite", config.generatorsPerSite, 1,
+                       MicroarchConfig::kMaxGeneratorsPerSite);
+        requireInRange("cacheSlots", config.cacheSlots, 2,
+                       MicroarchConfig::kMaxCacheSlots);
         return std::make_unique<CqlaExecution>(
             model, config, config.generatorsPerSite);
     }
@@ -485,7 +494,7 @@ class FmaModel : public ArchModel
             msg << "areaBudget must be > 0, got " << config.areaBudget;
             throw std::invalid_argument(msg.str());
         }
-        requireAtLeast("tileSize", config.tileSize, 0);
+        requireInRange("tileSize", config.tileSize, 0);
         return std::make_unique<FmaExecution>(graph, model, config);
     }
 };

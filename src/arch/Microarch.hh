@@ -66,13 +66,21 @@ struct MicroarchConfig
     int codeLevel = 1;
 
     /**
-     * (G)QLA / (G)CQLA: parallel generators per site; 1 reproduces
-     * the original QLA/CQLA proposals.
+     * (G)QLA / (G)CQLA: parallel generators per site, in
+     * [1, kMaxGeneratorsPerSite]; 1 reproduces the original
+     * QLA/CQLA proposals.
      */
     int generatorsPerSite = 1;
 
-    /** (G)CQLA: compute-cache capacity in logical qubits. */
+    /** (G)CQLA: compute-cache capacity in logical qubits, in
+     *  [2, kMaxCacheSlots]. */
     int cacheSlots = 24;
+
+    /** Bounds on the per-run generator banks these two size (each
+     *  ancilla claim also scans its site's k generators). The
+     *  shipped specs use at most 32 and 24. */
+    static constexpr int kMaxGeneratorsPerSite = 256;
+    static constexpr int kMaxCacheSlots = 1 << 16;
 
     /**
      * FullyMultiplexed: total factory area budget (macroblocks,

@@ -1,116 +1,127 @@
 #include "arch/SpeedOfData.hh"
 
+#include <algorithm>
+#include <array>
+
+#include "common/Logging.hh"
 #include "common/Stats.hh"
 
 namespace qc {
 
 namespace {
 
-/** Latency model: data interaction only. */
-DataflowGraph::LatencyModel
-dataOnly(const EncodedOpModel &model)
+/** The three Table 2 latency models, cumulative. */
+enum Model
 {
-    return [&model](const Gate &g) { return model.dataLatency(g); };
-}
+    DataOnly,    ///< data interaction only
+    DataPlusQec, ///< + the QEC interaction (speed of data)
+    Serialized,  ///< + ancilla preparation, no overlap
+    NumModels
+};
 
-/** Latency model: data + QEC interaction. */
-DataflowGraph::LatencyModel
-dataPlusQec(const EncodedOpModel &model)
-{
-    return [&model](const Gate &g) {
-        Time t = model.dataLatency(g);
-        if (model.needsQec(g.kind))
-            t += model.qecInteractLatency();
-        return t;
-    };
-}
+using PerModel = std::array<Time, NumModels>;
 
 /**
- * Latency model: fully serialized execution, no overlap of ancilla
- * preparation with computation (Table 2's construction). The two
- * zero ancillae of a QEC step are prepared concurrently by the
- * factory hardware, so one zero-prep latency is charged per QEC
- * step; a pi/8 gate additionally waits for the pi/8 conversion.
+ * What the EncodedOpModel charges one gate kind; no cost depends on
+ * anything but the kind.
  */
-DataflowGraph::LatencyModel
-serialized(const EncodedOpModel &model)
+struct KindCost
 {
-    return [&model](const Gate &g) {
-        Time t = model.dataLatency(g);
-        if (model.needsQec(g.kind)) {
-            t += model.qecInteractLatency();
-            t += model.zeroPrepLatency();
-        }
-        if (g.kind == GateKind::T || g.kind == GateKind::Tdg)
-            t += model.pi8PrepLatency();
-        return t;
-    };
+    PerModel latency{};
+    /** Figure 7's just-in-time envelope: the ancillae exist during
+     *  the gate's trailing QEC window (its data window if none). */
+    Time window = 0;
+    int zeros = 0;
+    int pi8 = 0;
+    bool known = false;
+};
+
+KindCost
+kindCost(const EncodedOpModel &model, const Gate &gate)
+{
+    KindCost c;
+    const Time data = model.dataLatency(gate);
+    c.latency = {data, data, data};
+    c.window = data;
+    // Serialized charges one zero-prep latency per QEC step (its two
+    // zeros are prepared concurrently) and, for a pi/8 gate, the
+    // pi/8 conversion.
+    if (model.needsQec(gate.kind)) {
+        c.latency[DataPlusQec] += model.qecInteractLatency();
+        c.latency[Serialized] = c.latency[DataPlusQec]
+            + model.zeroPrepLatency();
+        c.window = model.qecInteractLatency();
+    }
+    if (gate.kind == GateKind::T || gate.kind == GateKind::Tdg)
+        c.latency[Serialized] += model.pi8PrepLatency();
+    for (Time t : c.latency) {
+        if (t < 0)
+            panic("negative gate latency");
+    }
+    c.zeros = model.zeroAncillae(gate);
+    c.pi8 = model.pi8Ancillae(gate);
+    c.known = true;
+    return c;
 }
 
 } // namespace
 
-LatencySplit
-latencySplit(const DataflowGraph &graph, const EncodedOpModel &model)
+SpeedOfData
+speedOfData(const DataflowGraph &graph, const EncodedOpModel &model,
+            std::size_t bins)
 {
-    const Time t_data = graph.asap(dataOnly(model)).makespan;
-    const Time t_qec = graph.asap(dataPlusQec(model)).makespan;
-    const Time t_full = graph.asap(serialized(model)).makespan;
-
-    LatencySplit split;
-    split.dataOp = t_data;
-    split.qecInteract = t_qec - t_data;
-    split.ancillaPrep = t_full - t_qec;
-    return split;
-}
-
-BandwidthSummary
-bandwidthAtSpeedOfData(const DataflowGraph &graph,
-                       const EncodedOpModel &model)
-{
-    BandwidthSummary summary;
-    summary.runtime = graph.asap(dataPlusQec(model)).makespan;
-    for (const Gate &g : graph.circuit().gates()) {
-        summary.zerosConsumed +=
-            static_cast<std::uint64_t>(model.zeroAncillae(g));
-        summary.pi8Consumed +=
-            static_cast<std::uint64_t>(model.pi8Ancillae(g));
-    }
-    return summary;
-}
-
-std::vector<double>
-ancillaDemandProfile(const DataflowGraph &graph,
-                     const EncodedOpModel &model, std::size_t bins)
-{
-    const Schedule sched = graph.asap(dataPlusQec(model));
-    if (sched.makespan == 0)
-        return std::vector<double>(bins, 0.0);
-
     const auto &gates = graph.circuit().gates();
-    std::vector<double> out(bins, 0.0);
-    TimeSeriesBinner conc(static_cast<double>(sched.makespan), bins);
-    for (NodeId n = 0; n < gates.size(); ++n) {
-        const Gate &g = gates[n];
-        const int zeros = model.zeroAncillae(g);
-        if (zeros == 0)
-            continue;
-        // The ancillae must exist during the trailing QEC window of
-        // the gate (the just-in-time envelope).
-        const Time window = model.needsQec(g.kind)
-                                ? model.qecInteractLatency()
-                                : model.dataLatency(g);
-        const double end = static_cast<double>(sched.end[n]);
-        const double start = end - static_cast<double>(window);
-        // addRange spreads the weight uniformly over the window.
-        // Using weight = zeros * window yields a density of `zeros`
-        // ancillae per ns; integrating over a bin and dividing by
-        // the bin width (below) gives average ancillae-in-flight.
-        conc.addRange(start, end,
-                      static_cast<double>(zeros)
-                          * static_cast<double>(window));
+    const auto n = static_cast<NodeId>(graph.numNodes());
+    std::array<KindCost, static_cast<std::size_t>(GateKind::NumKinds)>
+        costs{};
+    std::vector<PerModel> end(n);
+    PerModel makespan{};
+    SpeedOfData out;
+
+    // Program order is already a topological order (edges only go
+    // from earlier to later gates).
+    for (NodeId i = 0; i < n; ++i) {
+        KindCost &cost = costs[static_cast<std::size_t>(gates[i].kind)];
+        if (!cost.known)
+            cost = kindCost(model, gates[i]);
+        PerModel ready{};
+        for (NodeId p : graph.preds(i)) {
+            for (int m = 0; m < NumModels; ++m)
+                ready[m] = std::max(ready[m], end[p][m]);
+        }
+        for (int m = 0; m < NumModels; ++m) {
+            end[i][m] = ready[m] + cost.latency[m];
+            makespan[m] = std::max(makespan[m], end[i][m]);
+        }
+        out.bandwidth.zerosConsumed +=
+            static_cast<std::uint64_t>(cost.zeros);
+        out.bandwidth.pi8Consumed += static_cast<std::uint64_t>(cost.pi8);
     }
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = conc.bins()[i] / conc.binWidth();
+    out.split.dataOp = makespan[DataOnly];
+    out.split.qecInteract = makespan[DataPlusQec] - makespan[DataOnly];
+    out.split.ancillaPrep = makespan[Serialized] - makespan[DataPlusQec];
+    out.bandwidth.runtime = makespan[DataPlusQec];
+
+    out.demandProfile.assign(bins, 0.0);
+    if (bins == 0 || makespan[DataPlusQec] == 0)
+        return out;
+    TimeSeriesBinner conc(static_cast<double>(makespan[DataPlusQec]),
+                          bins);
+    for (NodeId i = 0; i < n; ++i) {
+        const KindCost &cost =
+            costs[static_cast<std::size_t>(gates[i].kind)];
+        if (cost.zeros == 0)
+            continue;
+        const double stop = static_cast<double>(end[i][DataPlusQec]);
+        // Weight zeros * window spread over the window is a density
+        // of `zeros` ancillae per ns; dividing each bin by its width
+        // (below) gives average ancillae-in-flight.
+        conc.addRange(stop - static_cast<double>(cost.window), stop,
+                      static_cast<double>(cost.zeros)
+                          * static_cast<double>(cost.window));
+    }
+    for (std::size_t i = 0; i < bins; ++i)
+        out.demandProfile[i] = conc.bins()[i] / conc.binWidth();
     return out;
 }
 

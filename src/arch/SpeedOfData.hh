@@ -47,15 +47,6 @@ struct LatencySplit
     }
 };
 
-/**
- * Compute the Table 2 split: three ASAP schedules with cumulative
- * latency models (data-only; data + QEC interact; fully serialized
- * with one ancilla-preparation latency per QEC step and per pi/8
- * gate, movement excluded).
- */
-LatencySplit latencySplit(const DataflowGraph &graph,
-                          const EncodedOpModel &model);
-
 /** One row of Table 3 plus its underlying totals. */
 struct BandwidthSummary
 {
@@ -82,21 +73,51 @@ struct BandwidthSummary
     }
 };
 
-/** Compute Table 3: ancilla totals over the speed-of-data runtime. */
-BandwidthSummary bandwidthAtSpeedOfData(const DataflowGraph &graph,
-                                        const EncodedOpModel &model);
+/**
+ * Every speed-of-data number of one circuit (Section 3), from one
+ * topological pass over the dataflow graph.
+ */
+struct SpeedOfData
+{
+    /** Table 2: makespans of three ASAP schedules with cumulative
+     *  latency models: data only; + QEC interaction; fully
+     *  serialized, + one ancilla preparation per QEC step and per
+     *  pi/8 gate (movement excluded). */
+    LatencySplit split;
+    /** Table 3: ancilla totals over the data + QEC makespan. */
+    BandwidthSummary bandwidth;
+    /** Figure 7: average encoded zeros in flight per time bin of the
+     *  data + QEC schedule; each QEC step holds its two for its QEC
+     *  interaction window (the just-in-time envelope). */
+    std::vector<double> demandProfile;
+};
 
 /**
- * Figure 7: average number of encoded-zero ancillae that must be in
- * the system per time bin, at the speed of data. Each QEC step
- * holds its two ancillae for the QEC interaction window (the
- * just-in-time envelope).
- *
- * @return per-bin average concurrency (size = bins)
+ * Compute all of SpeedOfData with `bins` profile bins (0 leaves the
+ * profile empty). Panics on a negative gate latency.
  */
-std::vector<double> ancillaDemandProfile(const DataflowGraph &graph,
-                                         const EncodedOpModel &model,
-                                         std::size_t bins);
+SpeedOfData speedOfData(const DataflowGraph &graph,
+                        const EncodedOpModel &model, std::size_t bins);
+
+inline LatencySplit
+latencySplit(const DataflowGraph &graph, const EncodedOpModel &model)
+{
+    return speedOfData(graph, model, 0).split;
+}
+
+inline BandwidthSummary
+bandwidthAtSpeedOfData(const DataflowGraph &graph,
+                       const EncodedOpModel &model)
+{
+    return speedOfData(graph, model, 0).bandwidth;
+}
+
+inline std::vector<double>
+ancillaDemandProfile(const DataflowGraph &graph,
+                     const EncodedOpModel &model, std::size_t bins)
+{
+    return speedOfData(graph, model, bins).demandProfile;
+}
 
 } // namespace qc
 

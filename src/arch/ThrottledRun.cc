@@ -1,9 +1,8 @@
 #include "arch/ThrottledRun.hh"
 
 #include <algorithm>
-#include <vector>
 
-#include "sim/Simulator.hh"
+#include "sim/EventLoop.hh"
 #include "sim/TokenPool.hh"
 
 namespace qc {
@@ -14,62 +13,32 @@ throttledRun(const DataflowGraph &graph, const EncodedOpModel &model,
              Time deadline)
 {
     const auto &gates = graph.circuit().gates();
-    const auto n = static_cast<NodeId>(graph.numNodes());
-
-    Simulator sim;
     RateTokenPool zeros(zero_per_ms);
     RateTokenPool pi8s(pi8_per_ms);
     ThrottledResult result;
 
-    std::vector<int> missing(n, 0);
-    for (NodeId i = 0; i < n; ++i)
-        missing[i] = static_cast<int>(graph.preds(i).size());
-
-    // Recursive lambdas via Y-combinator-ish std::function pair.
-    std::function<void(NodeId)> launch = [&](NodeId node) {
-        const Gate &g = gates[node];
-        Time start = sim.now();
-
-        const int z = model.zeroAncillae(g);
-        if (z > 0) {
+    // Roots launch as t = 0 events, so token claims happen in
+    // deterministic time order.
+    const DataflowRun run = runDataflow(
+        graph,
+        [&](NodeId node, Time now) {
+            const Gate &g = gates[node];
+            // Claiming no tokens is free: claim(0) returns 0.
+            const int z = model.zeroAncillae(g);
+            const int p = model.pi8Ancillae(g);
             result.zerosConsumed += static_cast<std::uint64_t>(z);
-            start = std::max(start, zeros.claim(z));
-        }
-        const int p = model.pi8Ancillae(g);
-        if (p > 0) {
             result.pi8Consumed += static_cast<std::uint64_t>(p);
-            start = std::max(start, pi8s.claim(p));
-        }
-
-        Time latency = model.dataLatency(g);
-        if (model.needsQec(g.kind))
-            latency += model.qecInteractLatency();
-
-        const Time end = start + latency;
-        sim.schedule(end, [&, node]() {
-            result.makespan = std::max(result.makespan, sim.now());
-            ++result.gatesExecuted;
-            for (NodeId succ : graph.succs(node)) {
-                if (--missing[succ] == 0)
-                    launch(succ);
-            }
-        });
-    };
-
-    // Kick off the roots at t = 0 through the event queue so token
-    // claims happen in deterministic time order.
-    for (NodeId root : graph.roots())
-        sim.schedule(0, [&, root]() { launch(root); });
-
-    if (deadline > 0) {
-        sim.runUntil(deadline);
-        if (sim.pending() > 0) {
-            result.completed = false;
-            result.makespan = std::max(result.makespan, sim.now());
-        }
-    } else {
-        sim.run();
-    }
+            const Time start =
+                std::max({now, zeros.claim(z), pi8s.claim(p)});
+            Time latency = model.dataLatency(g);
+            if (model.needsQec(g.kind))
+                latency += model.qecInteractLatency();
+            return start + latency;
+        },
+        deadline);
+    result.makespan = run.makespan;
+    result.gatesExecuted = run.completed;
+    result.completed = run.finished;
     return result;
 }
 

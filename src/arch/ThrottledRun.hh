@@ -40,9 +40,10 @@ struct ThrottledResult
  *                    unconstrained
  * @param pi8_per_ms  encoded-pi/8 production rate; <= 0 means
  *                    unconstrained (Figure 8 constrains zeros only)
- * @param deadline    cut the simulation off at this time (via
- *                    Simulator::runUntil) and report a partial
- *                    result; <= 0 runs to completion
+ * @param deadline    fire only events at times <= deadline and
+ *                    report a partial result, with the makespan
+ *                    at the deadline, if any remain; <= 0 runs to
+ *                    completion
  */
 ThrottledResult throttledRun(const DataflowGraph &graph,
                              const EncodedOpModel &model,

@@ -2,67 +2,54 @@
 
 #include <algorithm>
 
-#include "common/Logging.hh"
-
 namespace qc {
 
 DataflowGraph::DataflowGraph(const Circuit &circuit) : circuit_(circuit)
 {
     const auto &gates = circuit.gates();
     const auto n = static_cast<NodeId>(gates.size());
-    preds_.resize(n);
-    succs_.resize(n);
+    predOff_.assign(std::size_t{n} + 1, 0);
+    predIdx_.reserve(std::size_t{n} * 2);
 
     // lastOnQubit[q] = most recent gate touching qubit q, or
     // invalidQubit-like sentinel when none.
     constexpr NodeId none = ~NodeId{0};
     std::vector<NodeId> last_on_qubit(circuit.numQubits(), none);
+    // Successor counts first, offsets after the prefix sum below.
+    succOff_.assign(std::size_t{n} + 1, 0);
 
     for (NodeId i = 0; i < n; ++i) {
         const Gate &g = gates[i];
+        const auto first = predIdx_.size();
         const int arity = g.arity();
         for (int slot = 0; slot < arity; ++slot) {
             const Qubit q = g.ops[static_cast<std::size_t>(slot)];
             const NodeId prev = last_on_qubit[q];
-            if (prev != none) {
-                // Avoid duplicate edges when two gates share more
-                // than one qubit (cannot happen with distinct
-                // operand qubits and last-writer edges, but be safe).
-                auto &p = preds_[i];
-                if (std::find(p.begin(), p.end(), prev) == p.end()) {
-                    p.push_back(prev);
-                    succs_[prev].push_back(i);
-                }
+            // Consecutive gates on the same two qubits get one edge.
+            if (prev != none
+                && std::find(predIdx_.begin() + first, predIdx_.end(),
+                             prev)
+                       == predIdx_.end()) {
+                predIdx_.push_back(prev);
+                ++succOff_[prev + 1];
             }
             last_on_qubit[q] = i;
         }
-        if (preds_[i].empty())
+        predOff_[i + 1] = static_cast<std::uint32_t>(predIdx_.size());
+        if (predIdx_.size() == first)
             roots_.push_back(i);
     }
-}
 
-Schedule
-DataflowGraph::asap(const LatencyModel &latency) const
-{
-    const auto n = static_cast<NodeId>(numNodes());
-    Schedule sched;
-    sched.start.assign(n, 0);
-    sched.end.assign(n, 0);
-
-    // Program order is already a topological order (edges only go
-    // from earlier to later gates).
+    for (NodeId i = 0; i < n; ++i)
+        succOff_[i + 1] += succOff_[i];
+    succIdx_.resize(predIdx_.size());
+    // Filling in node order lists every node's successors in
+    // ascending id.
+    std::vector<std::uint32_t> cursor(succOff_.begin(), succOff_.end() - 1);
     for (NodeId i = 0; i < n; ++i) {
-        Time ready = 0;
-        for (NodeId p : preds_[i])
-            ready = std::max(ready, sched.end[p]);
-        const Time lat = latency(circuit_.gates()[i]);
-        if (lat < 0)
-            panic("negative gate latency");
-        sched.start[i] = ready;
-        sched.end[i] = ready + lat;
-        sched.makespan = std::max(sched.makespan, sched.end[i]);
+        for (NodeId p : preds(i))
+            succIdx_[cursor[p]++] = i;
     }
-    return sched;
 }
 
 std::vector<std::uint32_t>
@@ -71,7 +58,7 @@ DataflowGraph::levels() const
     const auto n = static_cast<NodeId>(numNodes());
     std::vector<std::uint32_t> level(n, 0);
     for (NodeId i = 0; i < n; ++i) {
-        for (NodeId p : preds_[i])
+        for (NodeId p : preds(i))
             level[i] = std::max(level[i], level[p] + 1);
     }
     return level;

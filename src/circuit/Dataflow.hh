@@ -1,19 +1,19 @@
 /**
  * @file
- * Qubit-dependency dataflow graph over a Circuit, plus ASAP
- * scheduling against a pluggable latency model.
+ * Qubit-dependency dataflow graph over a Circuit.
  *
  * This is the foundation of the paper's Section 3 analysis: the
- * "speed of data" of a circuit is the makespan of its ASAP schedule
- * when every gate costs only its data-interaction latency (ancilla
- * preparation removed from the critical path).
+ * "speed of data" of a circuit is the makespan of the ASAP schedule
+ * of this graph when every gate costs only its data-interaction
+ * latency (ancilla preparation removed from the critical path); see
+ * arch/SpeedOfData.hh.
  */
 
 #ifndef QC_CIRCUIT_DATAFLOW_HH
 #define QC_CIRCUIT_DATAFLOW_HH
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "circuit/Circuit.hh"
@@ -24,17 +24,6 @@ namespace qc {
 /** Index of a gate (node) within a DataflowGraph. */
 using NodeId = std::uint32_t;
 
-/** Result of scheduling a dataflow graph. */
-struct Schedule
-{
-    /** Start time per gate, indexed by NodeId. */
-    std::vector<Time> start;
-    /** End time per gate, indexed by NodeId. */
-    std::vector<Time> end;
-    /** Completion time of the whole circuit. */
-    Time makespan = 0;
-};
-
 /**
  * Dependency DAG over the gates of a circuit.
  *
@@ -42,13 +31,15 @@ struct Schedule
  * in program order with no intervening gate on that qubit (i.e.
  * last-writer edges, which are sufficient for scheduling since all
  * our dependencies are read-modify-write).
+ *
+ * Adjacency is stored compressed (one offset array plus one flat
+ * index array per direction). Predecessors are listed in operand-slot
+ * order and successors in ascending node id; the executors' FIFO
+ * tie-break on equal event times depends on that order.
  */
 class DataflowGraph
 {
   public:
-    /** Latency assigned to each gate when scheduling. */
-    using LatencyModel = std::function<Time(const Gate &)>;
-
     /** Build the dependency DAG for a circuit (kept by reference). */
     explicit DataflowGraph(const Circuit &circuit);
 
@@ -56,29 +47,26 @@ class DataflowGraph
     const Circuit &circuit() const { return circuit_; }
 
     /** Number of gate nodes. */
-    std::size_t numNodes() const { return preds_.size(); }
+    std::size_t numNodes() const { return predOff_.size() - 1; }
 
-    /** Immediate predecessors of node n. */
-    const std::vector<NodeId> &preds(NodeId n) const
+    /** Immediate predecessors of node n, in operand-slot order. */
+    std::span<const NodeId>
+    preds(NodeId n) const
     {
-        return preds_[n];
+        return {predIdx_.data() + predOff_[n],
+                predIdx_.data() + predOff_[n + 1]};
     }
 
-    /** Immediate successors of node n. */
-    const std::vector<NodeId> &succs(NodeId n) const
+    /** Immediate successors of node n, in ascending node id. */
+    std::span<const NodeId>
+    succs(NodeId n) const
     {
-        return succs_[n];
+        return {succIdx_.data() + succOff_[n],
+                succIdx_.data() + succOff_[n + 1]};
     }
 
     /** Nodes with no predecessors. */
     const std::vector<NodeId> &roots() const { return roots_; }
-
-    /**
-     * As-soon-as-possible schedule: each gate starts when all its
-     * predecessors have finished. Assumes unbounded resources — the
-     * definition of "speed of data" (Figure 1b).
-     */
-    Schedule asap(const LatencyModel &latency) const;
 
     /**
      * Unit-latency depth of each node (longest path in gate count);
@@ -91,8 +79,12 @@ class DataflowGraph
 
   private:
     const Circuit &circuit_;
-    std::vector<std::vector<NodeId>> preds_;
-    std::vector<std::vector<NodeId>> succs_;
+    /** preds(n) is predIdx_[predOff_[n] .. predOff_[n + 1]). */
+    std::vector<std::uint32_t> predOff_;
+    std::vector<NodeId> predIdx_;
+    /** succs(n) is succIdx_[succOff_[n] .. succOff_[n + 1]). */
+    std::vector<std::uint32_t> succOff_;
+    std::vector<NodeId> succIdx_;
     std::vector<NodeId> roots_;
 };
 

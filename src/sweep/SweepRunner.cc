@@ -1,6 +1,7 @@
 #include "sweep/SweepRunner.hh"
 
 #include <stdexcept>
+#include <string>
 
 #include "error/BatchAncillaSim.hh"
 #include "layout/Builders.hh"
@@ -91,6 +92,10 @@ class ExperimentRunner : public SweepRunner
         // throttled run then reuses, so they are computed once.
         const double fraction =
             config.getDouble("zeroPerMsOfAverage", 0.0);
+        if (!(fraction >= 0))
+            throw std::invalid_argument(
+                "zeroPerMsOfAverage must be >= 0, got "
+                + std::to_string(fraction));
         if (fraction > 0) {
             if (c.schedule != ScheduleMode::Throttled) {
                 throw std::invalid_argument(

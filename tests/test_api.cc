@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -455,6 +456,87 @@ TEST(ExperimentConfig, OutOfRangeArchFieldsThrowWhenRun)
                      std::invalid_argument)
             << tile;
     }
+}
+
+TEST(ExperimentConfig, IntFieldsThatWouldWrapThrow)
+{
+    // A bare narrowing cast turned 2^32 + k into k.
+    for (const char *field :
+         {"bits", "codeLevel", "generatorsPerSite", "cacheSlots"}) {
+        EXPECT_THROW(ExperimentConfig::fromJson(Json::parse(
+                         std::string("{\"") + field
+                         + "\": 4294967297}")),
+                     std::invalid_argument)
+            << field;
+    }
+    for (const char *nested :
+         {R"({"lowering": {"maxRotK": 4294967297}})",
+          R"({"qft": {"maxK": 4294967297}})",
+          R"({"synth": {"maxSyllables": 4294967299}})",
+          R"({"synth": {"tCostWeight": -4294967293}})"}) {
+        EXPECT_THROW(ExperimentConfig::fromJson(Json::parse(nested)),
+                     std::invalid_argument)
+            << nested;
+    }
+}
+
+TEST(ExperimentConfig, BankSizesAreBounded)
+{
+    // generatorsPerSite and cacheSlots size the executors' per-run
+    // banks. The bounds are checked before anything is allocated,
+    // on the JSON path and in the models alike.
+    const auto parses = [](const std::string &field, std::int64_t v) {
+        return ExperimentConfig::fromJson(Json::parse(
+            "{\"" + field + "\": " + std::to_string(v) + "}"));
+    };
+    constexpr int maxGenerators = MicroarchConfig::kMaxGeneratorsPerSite;
+    constexpr int maxSlots = MicroarchConfig::kMaxCacheSlots;
+    EXPECT_EQ(parses("generatorsPerSite", maxGenerators).generatorsPerSite,
+              maxGenerators);
+    EXPECT_EQ(parses("cacheSlots", maxSlots).cacheSlots, maxSlots);
+    EXPECT_THROW(parses("generatorsPerSite", maxGenerators + 1),
+                 std::invalid_argument);
+    EXPECT_THROW(parses("generatorsPerSite", 0), std::invalid_argument);
+    EXPECT_THROW(parses("cacheSlots", maxSlots + 1),
+                 std::invalid_argument);
+    EXPECT_THROW(parses("cacheSlots", 1), std::invalid_argument);
+
+    ExperimentConfig config;
+    config.params.bits = 4;
+    config.schedule = ScheduleMode::Arch;
+    for (const char *arch : {"qla", "gqla", "cqla", "gcqla"}) {
+        config.arch = arch;
+        config.generatorsPerSite = 1000000000;
+        EXPECT_THROW(runExperiment(config), std::invalid_argument)
+            << arch;
+        config.generatorsPerSite = 1;
+    }
+    for (const char *arch : {"cqla", "gcqla"}) {
+        config.arch = arch;
+        config.cacheSlots = 1000000000;
+        EXPECT_THROW(runExperiment(config), std::invalid_argument)
+            << arch;
+        config.cacheSlots = 24;
+    }
+}
+
+TEST(ExperimentConfig, NegativeThrottledKnobsThrow)
+{
+    for (const char *json :
+         {R"({"zeroPerMs": -1})", R"({"pi8PerMs": -0.5})",
+          R"({"timeLimit_ns": -1})"}) {
+        EXPECT_THROW(ExperimentConfig::fromJson(Json::parse(json)),
+                     std::invalid_argument)
+            << json;
+    }
+    Json nan = Json::object();
+    nan.set("zeroPerMs", std::numeric_limits<double>::quiet_NaN());
+    EXPECT_THROW(ExperimentConfig::fromJson(nan), std::invalid_argument);
+    // Zero still means "unset" / "run to completion".
+    const ExperimentConfig zero = ExperimentConfig::fromJson(Json::parse(
+        R"({"zeroPerMs": 0, "pi8PerMs": 0, "timeLimit_ns": 0})"));
+    EXPECT_EQ(zero.zeroPerMs, 0);
+    EXPECT_EQ(zero.timeLimit, 0);
 }
 
 TEST(ExperimentConfig, ScheduleModeNamesRoundTrip)

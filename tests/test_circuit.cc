@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
+#include "arch/SpeedOfData.hh"
 #include "circuit/Circuit.hh"
 #include "circuit/Dataflow.hh"
 
@@ -107,26 +111,45 @@ TEST(Dataflow, TwoQubitGatesJoinChains)
     EXPECT_EQ(g.depth(), 3u);
 }
 
+/** A technology point whose only nonzero latencies are t1q, t2q. */
+EncodedOpModel
+gateLatencies(Time t1q, Time t2q)
+{
+    IonTrapParams tech{0, 0, 0, 0, 0, 0};
+    tech.t1q = t1q;
+    tech.t2q = t2q;
+    return EncodedOpModel(tech);
+}
+
+/** Data-only speed-of-data makespan (Table 2's first column). */
+Time
+dataMakespan(const Circuit &c, const EncodedOpModel &model)
+{
+    return speedOfData(DataflowGraph(c), model, 0).split.dataOp;
+}
+
 TEST(Dataflow, AsapMakespanOfChain)
 {
+    const EncodedOpModel model = gateLatencies(7, 0);
     Circuit c(1);
     c.h(0).h(0).h(0);
-    DataflowGraph g(c);
-    const Schedule s = g.asap([](const Gate &) { return Time{7}; });
-    EXPECT_EQ(s.makespan, 21);
-    EXPECT_EQ(s.start[2], 14);
+    EXPECT_EQ(dataMakespan(c, model), 21);
+    // The third gate starts when the first two have run.
+    Circuit prefix(1);
+    prefix.h(0).h(0);
+    EXPECT_EQ(dataMakespan(prefix, model), 14);
 }
 
 TEST(Dataflow, AsapRespectsCrossQubitDependencies)
 {
+    const EncodedOpModel model = gateLatencies(5, 10);
     Circuit c(2);
     c.h(0).h(1).cx(0, 1);
-    DataflowGraph g(c);
-    const Schedule s = g.asap([](const Gate &g_) {
-        return g_.kind == GateKind::H ? Time{5} : Time{10};
-    });
-    EXPECT_EQ(s.start[2], 5);
-    EXPECT_EQ(s.makespan, 15);
+    EXPECT_EQ(dataMakespan(c, model), 15);
+    // The cx starts once both (parallel) h's are done.
+    Circuit prefix(2);
+    prefix.h(0).h(1);
+    EXPECT_EQ(dataMakespan(prefix, model), 5);
 }
 
 TEST(Dataflow, ParallelismShortensMakespan)
@@ -134,10 +157,54 @@ TEST(Dataflow, ParallelismShortensMakespan)
     // Two independent chains of 3 gates each.
     Circuit c(2);
     c.h(0).h(0).h(0).h(1).h(1).h(1);
+    EXPECT_EQ(dataMakespan(c, gateLatencies(10, 0)), 30);
+    EXPECT_EQ(DataflowGraph(c).depth(), 3u);
+}
+
+std::vector<NodeId>
+ids(std::span<const NodeId> nodes)
+{
+    return {nodes.begin(), nodes.end()};
+}
+
+TEST(Dataflow, AdjacencyOrderIsPinned)
+{
+    // The executors break equal-time ties by scheduling order, which
+    // follows these lists: preds in operand-slot order, succs in
+    // ascending node id.
+    Circuit c(3);
+    c.cx(0, 1).h(1).h(0).cx(0, 1).h(2);
     DataflowGraph g(c);
-    const Schedule s = g.asap([](const Gate &) { return Time{10}; });
-    EXPECT_EQ(s.makespan, 30);
-    EXPECT_EQ(g.depth(), 3u);
+    ASSERT_EQ(g.numNodes(), 5u);
+    EXPECT_EQ(ids(g.preds(0)), (std::vector<NodeId>{}));
+    EXPECT_EQ(ids(g.preds(1)), (std::vector<NodeId>{0}));
+    EXPECT_EQ(ids(g.preds(2)), (std::vector<NodeId>{0}));
+    EXPECT_EQ(ids(g.preds(3)), (std::vector<NodeId>{2, 1}));
+    EXPECT_EQ(ids(g.preds(4)), (std::vector<NodeId>{}));
+    EXPECT_EQ(ids(g.succs(0)), (std::vector<NodeId>{1, 2}));
+    EXPECT_EQ(ids(g.succs(1)), (std::vector<NodeId>{3}));
+    EXPECT_EQ(ids(g.succs(2)), (std::vector<NodeId>{3}));
+    EXPECT_EQ(ids(g.succs(3)), (std::vector<NodeId>{}));
+    EXPECT_EQ(ids(g.succs(4)), (std::vector<NodeId>{}));
+    EXPECT_EQ(g.roots(), (std::vector<NodeId>{0, 4}));
+}
+
+TEST(Dataflow, GatesSharingTwoQubitsShareOneEdge)
+{
+    Circuit c(2);
+    c.cx(0, 1).cx(1, 0);
+    DataflowGraph g(c);
+    EXPECT_EQ(ids(g.preds(1)), (std::vector<NodeId>{0}));
+    EXPECT_EQ(ids(g.succs(0)), (std::vector<NodeId>{1}));
+}
+
+TEST(Dataflow, EmptyCircuitHasNoNodes)
+{
+    Circuit c(2);
+    DataflowGraph g(c);
+    EXPECT_EQ(g.numNodes(), 0u);
+    EXPECT_TRUE(g.roots().empty());
+    EXPECT_EQ(g.depth(), 0u);
 }
 
 TEST(Dataflow, LevelsMatchDepth)

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -753,6 +754,49 @@ TEST(SweepRunners, ZeroPerMsOfAverageRejectsNonThrottledSchedule)
     EXPECT_NE(points.at(0).at("error").asString().find("throttled"),
               std::string::npos);
     EXPECT_FALSE(points.at(1).has("error"));
+}
+
+TEST(SweepRunners, NegativeThrottledKnobsAreCapturedNotFatal)
+{
+    // Each of these used to read as "unset" or "unbounded".
+    const std::string base = R"({"workload": "qrca", "bits": 6,
+                                 "schedule": "throttled"})";
+    expectSecondPointFails(base, "zeroPerMs", "[5, -5]", "zeroPerMs");
+    expectSecondPointFails(base, "pi8PerMs", "[5, -5]", "pi8PerMs");
+    expectSecondPointFails(base, "zeroPerMsOfAverage", "[0.5, -0.5]",
+                           "zeroPerMsOfAverage");
+    expectSecondPointFails(base, "timeLimit_ns", "[1000, -1000]",
+                           "timeLimit_ns");
+}
+
+TEST(SweepRunners, NanZeroPerMsOfAverageIsCapturedNotFatal)
+{
+    // JSON text cannot spell NaN, but a spec built in code can.
+    Json base = parse(R"({"workload": "qrca", "bits": 6,
+                          "schedule": "throttled"})");
+    base.set("zeroPerMsOfAverage",
+             std::numeric_limits<double>::quiet_NaN());
+    Json spec = Json::object();
+    spec.set("runner", "experiment");
+    spec.set("base", base);
+    const SweepReport report = runSweep(SweepSpec::fromJson(spec));
+    EXPECT_EQ(report.failed, 1u);
+    const Json &point = report.doc.at("points").at(0);
+    ASSERT_TRUE(point.has("error"));
+    EXPECT_NE(point.at("error").asString().find("zeroPerMsOfAverage"),
+              std::string::npos)
+        << point.at("error").asString();
+}
+
+TEST(SweepRunners, WrappingIntFieldsAreCapturedNotFatal)
+{
+    // 4294967297 = 2^32 + 1 used to narrow to 1 and run.
+    expectSecondPointFails(R"({"workload": "qrca", "bits": 4,
+                               "schedule": "arch", "arch": "gqla"})",
+                           "generatorsPerSite", "[2, 4294967297]",
+                           "generatorsPerSite");
+    expectSecondPointFails(R"({"workload": "qrca"})", "bits",
+                           "[4, 4294967300]", "bits");
 }
 
 // ---------------------------------------------------------------
