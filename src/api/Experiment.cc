@@ -231,10 +231,12 @@ ExperimentConfig::fromJson(const Json &j)
         config.tech = ionTrapFromJson(j.at("tech"));
     if (j.has("errors")) {
         const Json &errors = j.at("errors");
-        config.errors.pGate =
-            errors.getDouble("pGate", config.errors.pGate);
-        config.errors.pMove =
-            errors.getDouble("pMove", config.errors.pMove);
+        config.errors.pGate = checkedProbability(
+            "errors.pGate",
+            errors.getDouble("pGate", config.errors.pGate));
+        config.errors.pMove = checkedProbability(
+            "errors.pMove",
+            errors.getDouble("pMove", config.errors.pMove));
     }
     config.schedule = scheduleModeFromName(j.getString(
         "schedule", scheduleModeName(config.schedule)));

@@ -41,6 +41,22 @@ requireInRange(const char *field, std::int64_t value, std::int64_t lo,
         + ", got " + std::to_string(value));
 }
 
+/**
+ * The period of the dedicated serial generator; an OnDemandBankPool
+ * needs a positive one, which an all-zero `tech` does not give.
+ */
+Time
+generatorPeriod(const SimpleZeroFactory &simple)
+{
+    const Time period = simple.latency();
+    if (period <= 0)
+        throw std::invalid_argument(
+            "the zero-ancilla generator's period (from the tech.*_ns "
+            "latencies) must be > 0, got "
+            + std::to_string(period) + " ns");
+    return period;
+}
+
 } // namespace
 
 Time
@@ -169,9 +185,10 @@ class QlaExecution : public ArchExecution
         const SimpleZeroFactory simple(config.effTech());
         const Area tileScale =
             ConcatenatedSteane::tileArea(config.codeLevel);
+        const Time period = generatorPeriod(simple);
         banks_.reserve(nq);
         for (Qubit q = 0; q < nq; ++q)
-            banks_.emplace_back(k, simple.latency());
+            banks_.emplace_back(k, period);
         result.ancillaArea =
             static_cast<Area>(nq) * k * simple.area() * tileScale;
     }
@@ -263,9 +280,10 @@ class CqlaExecution : public ArchExecution
         const SimpleZeroFactory simple(config.effTech());
         const Area tileScale =
             ConcatenatedSteane::tileArea(config.codeLevel);
+        const Time period = generatorPeriod(simple);
         slotBanks_.reserve(static_cast<std::size_t>(config.cacheSlots));
         for (int s = 0; s < config.cacheSlots; ++s)
-            slotBanks_.emplace_back(k, simple.latency());
+            slotBanks_.emplace_back(k, period);
         result.ancillaArea = static_cast<Area>(config.cacheSlots)
             * k * simple.area() * tileScale;
     }

@@ -33,7 +33,8 @@ parentDir(const std::string &path)
 
 void
 writeImpl(const std::string &path, const std::string &content,
-          std::size_t bytes, const std::string &tmpSuffix)
+          std::size_t bytes, const std::string &tmpSuffix,
+          bool durable)
 {
     const std::string tmp = path + tmpSuffix;
     const int fd =
@@ -54,7 +55,7 @@ writeImpl(const std::string &path, const std::string &content,
         data += n;
         left -= static_cast<std::size_t>(n);
     }
-    if (::fsync(fd) != 0) {
+    if (durable && ::fsync(fd) != 0) {
         ::close(fd);
         std::remove(tmp.c_str());
         fail("cannot fsync", tmp);
@@ -64,7 +65,8 @@ writeImpl(const std::string &path, const std::string &content,
         std::remove(tmp.c_str());
         fail("cannot rename into", path);
     }
-    syncParentDir(path);
+    if (durable)
+        syncParentDir(path);
 }
 
 } // namespace
@@ -83,10 +85,33 @@ syncParentDir(const std::string &path)
 }
 
 void
+syncFileSystem(const std::string &path)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
+        return;
+#ifdef __linux__
+    ::syncfs(fd);
+#else
+    ::sync();
+#endif
+    ::close(fd);
+}
+
+void
 writeFileDurable(const std::string &path, const std::string &content,
                  const std::string &tmpSuffix)
 {
-    writeImpl(path, content, content.size(), tmpSuffix);
+    writeImpl(path, content, content.size(), tmpSuffix,
+              /*durable=*/true);
+}
+
+void
+writeFileAtomic(const std::string &path, const std::string &content,
+                const std::string &tmpSuffix)
+{
+    writeImpl(path, content, content.size(), tmpSuffix,
+              /*durable=*/false);
 }
 
 void
@@ -94,7 +119,7 @@ writeFileTorn(const std::string &path, const std::string &content,
               std::size_t tornBytes, const std::string &tmpSuffix)
 {
     writeImpl(path, content, std::min(tornBytes, content.size()),
-              tmpSuffix);
+              tmpSuffix, /*durable=*/true);
 }
 
 } // namespace qc

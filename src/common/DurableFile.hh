@@ -11,6 +11,10 @@
  *
  * Used by the sweep engine's checkpoint commits and by the serve
  * coordinator/worker for checkpoint documents and shard deltas.
+ * The hoard publishes its objects with writeFileAtomic (the rename
+ * without the fsyncs) and makes a whole session's objects durable
+ * with one syncFileSystem barrier; its readers validate every
+ * object, so a power loss can only cost a recompute.
  */
 
 #ifndef QC_COMMON_DURABLE_FILE_HH
@@ -32,6 +36,16 @@ void writeFileDurable(const std::string &path,
                       const std::string &tmpSuffix = ".tmp");
 
 /**
+ * writeFileDurable without either fsync: atomic against a kill (a
+ * reader sees the old file or the whole new one), but a power loss
+ * may leave the target empty or zero-filled. Only for files whose
+ * readers validate the content; pair it with syncFileSystem.
+ */
+void writeFileAtomic(const std::string &path,
+                     const std::string &content,
+                     const std::string &tmpSuffix = ".tmp");
+
+/**
  * writeFileDurable, but the temporary is truncated to
  * `tornBytes` before the rename — a deliberately torn commit for
  * fault-injection tests of reader-side validation. Never use
@@ -43,6 +57,10 @@ void writeFileTorn(const std::string &path,
 
 /** fsync the directory containing `path` (best-effort). */
 void syncParentDir(const std::string &path);
+
+/** Flush every dirty file of the filesystem holding `path` to disk
+ *  (syncfs(2); best-effort). */
+void syncFileSystem(const std::string &path);
 
 } // namespace qc
 

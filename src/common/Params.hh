@@ -7,6 +7,9 @@
 #ifndef QC_COMMON_PARAMS_HH
 #define QC_COMMON_PARAMS_HH
 
+#include <stdexcept>
+#include <string>
+
 #include "Types.hh"
 
 namespace qc {
@@ -63,6 +66,18 @@ struct ErrorParams
         return ErrorParams{};
     }
 };
+
+/** `value`, a probability read from outside the program; throws
+ *  std::invalid_argument naming `field` unless it lies in [0, 1]
+ *  (NaN included). */
+inline double
+checkedProbability(const std::string &field, double value)
+{
+    if (!(value >= 0 && value <= 1))
+        throw std::invalid_argument(field + " must be in [0, 1], got "
+                                    + std::to_string(value));
+    return value;
+}
 
 } // namespace qc
 

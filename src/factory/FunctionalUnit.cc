@@ -1,6 +1,32 @@
 #include "factory/FunctionalUnit.hh"
 
+#include <initializer_list>
+#include <stdexcept>
+
 namespace qc {
+
+namespace {
+
+/**
+ * Throws std::invalid_argument unless every unit takes time: a zero
+ * latency gives a unit unbounded bandwidth, and the factories'
+ * stage sizing divides by it.
+ */
+void
+requirePositiveLatencies(
+    std::initializer_list<const FunctionalUnitSpec *> units)
+{
+    for (const FunctionalUnitSpec *unit : units) {
+        if (unit->latency <= 0)
+            throw std::invalid_argument(
+                "factory unit \"" + unit->name
+                + "\": its latency (from the tech.*_ns latencies) "
+                  "must be > 0, got "
+                + std::to_string(unit->latency) + " ns");
+    }
+}
+
+} // namespace
 
 ZeroFactoryUnits::ZeroFactoryUnits(const IonTrapParams &tech,
                                    double accept_rate)
@@ -33,6 +59,9 @@ ZeroFactoryUnits::ZeroFactoryUnits(const IonTrapParams &tech,
                      + 8 * tech.tmove,
                  /*stages=*/1, /*in=*/21, /*out=*/7,
                  /*area=*/21, /*height=*/21};
+
+    requirePositiveLatencies(
+        {&zeroPrep, &cxStage, &catPrep, &verify, &bpCorrect});
 }
 
 Pi8FactoryUnits::Pi8FactoryUnits(const IonTrapParams &tech)
@@ -58,6 +87,8 @@ Pi8FactoryUnits::Pi8FactoryUnits(const IonTrapParams &tech)
                  + 2 * tech.tmove,
              /*stages=*/1, /*in=*/8, /*out=*/7,
              /*area=*/8, /*height=*/8};
+
+    requirePositiveLatencies({&catPrep7, &transversal, &decode, &fixup});
 }
 
 } // namespace qc

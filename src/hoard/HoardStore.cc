@@ -265,11 +265,29 @@ HoardStore::store(const std::string &runner, const Json &config,
                          ".tmp-" + nonce_);
         fault_.fire("crash-before-hoard-publish");
     }
-    writeFileDurable(path, body, ".tmp-" + nonce_);
+    // Atomic but not durable: flush() makes the session's objects
+    // durable with one barrier, and a power loss before it leaves
+    // at worst an empty or zero-filled object, which fetch()
+    // quarantines like any other torn one.
+    writeFileAtomic(path, body, ".tmp-" + nonce_);
     fault_.fire("crash-after-hoard-publish");
     MutexLock lock(mutex_);
     ++counters_.stores;
+    unflushed_ = true;
     return true;
+}
+
+void
+HoardStore::flush()
+{
+    {
+        MutexLock lock(mutex_);
+        if (!unflushed_)
+            return;
+        unflushed_ = false;
+        ++counters_.barriers;
+    }
+    syncFileSystem(root_);
 }
 
 HoardCounters
@@ -473,6 +491,7 @@ HoardStore::ingestServe(const std::string &serveDir)
                 ++ingested;
         }
     }
+    flush();
     return ingested;
 }
 

@@ -12,8 +12,8 @@
  *     ROOT/objects/<hh>/<key>.json
  *                              one immutable object per key
  *                              (<hh> = first two hex digits);
- *                              published with writeFileDurable, so
- *                              a reader never sees a torn object
+ *                              published by atomic rename, so a
+ *                              live reader never sees a torn object
  *     ROOT/index.json          advisory listing rebuilt by
  *                              verify()/gc(); fetch/store never
  *                              read it, so a stale or orphaned
@@ -44,14 +44,21 @@
  * the point transparently recomputes and the republished object
  * heals the store.
  *
- * Concurrency model: publishes go through the same durable
- * write-then-rename commit the serve workers use, with a
- * process-unique temp suffix (Lease::makeNonce), so concurrent
- * sweeps sharing a store never tear an object; duplicate publishes
- * of the same key are idempotent (first one wins, the content is
- * identical by construction). Scans only ever consider "*.json"
- * names, so a crashed publish's leftover temp is invisible until
- * gc() sweeps it.
+ * Concurrency and crash model: a publish writes a temp with a
+ * process-unique suffix (Lease::makeNonce) and renames it into
+ * place (writeFileAtomic, no fsync), so concurrent sweeps sharing
+ * a store never tear an object and a killed process leaves either
+ * no object or a whole one; duplicate publishes of the same key
+ * are idempotent (first one wins, the content is identical by
+ * construction). Durability costs one barrier per session, not
+ * two fsyncs per object: flush() runs one syncfs(2) on the store
+ * root when the session stored anything, and the sweep engine
+ * calls it before its final checkpoint. A power loss before the
+ * barrier can leave an object empty or zero-filled at a valid
+ * name; fetch()'s validation quarantines it and the point
+ * recomputes, exactly as for any other torn object. Scans only
+ * ever consider "*.json" names, so a crashed publish's leftover
+ * temp is invisible until gc() sweeps it.
  */
 
 #ifndef QC_HOARD_HOARD_STORE_HH
@@ -77,6 +84,7 @@ struct HoardCounters
     std::size_t stores = 0;      ///< objects newly published
     std::size_t duplicates = 0;  ///< publishes of an existing key
     std::size_t quarantined = 0; ///< invalid objects moved aside
+    std::size_t barriers = 0;    ///< flush() calls that synced
 };
 
 /** One stored object, as listed by list(). */
@@ -152,6 +160,13 @@ class HoardStore final : public ResultCache
     bool store(const std::string &runner, const Json &config,
                const Json &result) override;
 
+    /**
+     * The durability barrier: one best-effort syncfs(2) on the
+     * store root if an object was published since the last flush,
+     * nothing otherwise. Thread-safe.
+     */
+    void flush() override;
+
     /** Session counters (snapshot). Thread-safe. */
     HoardCounters counters() const;
 
@@ -185,7 +200,7 @@ class HoardStore final : public ResultCache
      * objects. Throws std::invalid_argument if `serveDir` has no
      * readable manifest; malformed/torn delta files and mismatched
      * points are skipped (the same tolerance the coordinator's
-     * merge applies).
+     * merge applies). Ends with flush().
      */
     std::size_t ingestServe(const std::string &serveDir);
 
@@ -207,6 +222,7 @@ class HoardStore final : public ResultCache
 
     mutable Mutex mutex_;
     HoardCounters counters_ QC_GUARDED_BY(mutex_);
+    bool unflushed_ QC_GUARDED_BY(mutex_) = false;
 };
 
 } // namespace qc

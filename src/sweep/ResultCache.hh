@@ -1,13 +1,14 @@
 /**
  * @file
  * The sweep engine's view of a persistent result cache: fetch a
- * previously computed result for a (runner, config) identity, and
- * publish a newly computed one. HoardStore (src/hoard/) is the one
- * production implementation; the engine deliberately sees only this
- * interface so the sweep layer never includes hoard headers — the
- * module DAG runs sweep -> hoard via dependency injection at the
- * CLI, not via an include edge (enforced by qclint's layering rule
- * against tools/layers.json).
+ * previously computed result for a (runner, config) identity,
+ * publish a newly computed one, and make the publishes durable.
+ * HoardStore (src/hoard/) is the one production implementation;
+ * the engine deliberately sees only this interface so the sweep
+ * layer never includes hoard headers — the module DAG runs sweep
+ * -> hoard via dependency injection at the CLI, not via an include
+ * edge (enforced by qclint's layering rule against
+ * tools/layers.json).
  */
 
 #ifndef QC_SWEEP_RESULT_CACHE_HH
@@ -42,6 +43,14 @@ class ResultCache
      */
     virtual bool store(const std::string &runner, const Json &config,
                        const Json &result) = 0;
+
+    /**
+     * Make every entry stored so far durable. store() may publish
+     * without syncing to disk; the engine calls flush() once,
+     * after the last store and before its final checkpoint.
+     * Default: nothing to do.
+     */
+    virtual void flush() {}
 };
 
 } // namespace qc

@@ -21,7 +21,7 @@ using SteadyClock = std::chrono::steady_clock;
  * The engine's shared mutable state during the parallel phase:
  * result slots, checkpoint writes and progress ticks, serialized
  * under one annotated mutex. Pool workers call commit(); the main
- * thread calls finalCheckpoint()/replayTick() after the pool has
+ * thread calls finalDocument()/replayTick() after the pool has
  * drained (still through the lock — cheap, and it keeps the
  * annotations unconditional).
  *
@@ -52,7 +52,7 @@ class PointSink
         assembler_->setResult(index, std::move(result), failed);
         if (published)
             ++hoardStored_;
-        checkpoint(/*force=*/false);
+        checkpoint();
         tick(index, /*cached=*/false, /*resumed=*/false,
              /*hoarded=*/false);
     }
@@ -67,7 +67,7 @@ class PointSink
         assembler_->setResult(index, std::move(result),
                               /*failed=*/false);
         ++hoardHits_;
-        checkpoint(/*force=*/false);
+        checkpoint();
         tick(index, /*cached=*/false, /*resumed=*/false,
              /*hoarded=*/true);
     }
@@ -84,12 +84,16 @@ class PointSink
         return hoardStored_;
     }
 
-    /** The end-of-run checkpoint: leaves the file equal to the
-     *  final document (or, after a drain, to a resumable one). */
-    void finalCheckpoint() QC_EXCLUDES(mutex_)
+    /** The end-of-run checkpoint: builds the final document (or,
+     *  after a drain, a resumable one) once, writes it to the
+     *  checkpoint path and returns it. `written` tells whether the
+     *  file now holds it. */
+    Json finalDocument(bool &written) QC_EXCLUDES(mutex_)
     {
         MutexLock lock(mutex_);
-        checkpoint(/*force=*/true);
+        Json doc = assembler_->document();
+        written = write(doc);
+        return doc;
     }
 
     /** Progress tick for a point satisfied without executing
@@ -102,31 +106,39 @@ class PointSink
     }
 
   private:
+    /** A periodic checkpoint, at most every checkpointSeconds.
+     *  Finished results are write-once, so snapshotting the
+     *  document under the lock is race-free. */
+    void checkpoint() QC_REQUIRES(mutex_)
+    {
+        if (checkpointPath_.empty())
+            return;
+        const auto now = SteadyClock::now();
+        if (std::chrono::duration<double>(now - lastCheckpoint_)
+                .count()
+            < options_.checkpointSeconds)
+            return;
+        lastCheckpoint_ = now;
+        write(assembler_->document());
+    }
+
     /**
      * Crash durability: atomically AND durably replace the
      * checkpoint file — the temp file and its directory are
      * fsync'd around the rename, so neither a kill nor a power
      * loss can leave a torn or empty-but-renamed checkpoint.
-     * Finished results are write-once, so snapshotting the
-     * document under the lock is race-free. Best-effort: a failed
-     * write leaves the previous checkpoint and the sweep carries
-     * on.
+     * Best-effort: a failed write leaves the previous checkpoint,
+     * the sweep carries on, and false tells the caller.
      */
-    void checkpoint(bool force) QC_REQUIRES(mutex_)
+    bool write(const Json &doc) QC_REQUIRES(mutex_)
     {
         if (checkpointPath_.empty())
-            return;
-        const auto now = SteadyClock::now();
-        if (!force
-            && std::chrono::duration<double>(now - lastCheckpoint_)
-                       .count()
-                   < options_.checkpointSeconds)
-            return;
-        lastCheckpoint_ = now;
+            return false;
         try {
-            writeFileDurable(checkpointPath_,
-                             assembler_->document().dump(2) + "\n");
+            writeFileDurable(checkpointPath_, doc.dump(2) + "\n");
+            return true;
         } catch (const std::exception &) {
+            return false;
         }
     }
 
@@ -245,12 +257,15 @@ runSweep(const SweepSpec &spec, const SweepOptions &options)
                         published);
         },
         options.stopRequested);
-    // Leave the checkpoint file equal to the final document, so a
-    // kill between here and the caller's own write still resumes
-    // to a complete sweep. After a requested stop this is the
-    // "final checkpoint" the drain contract promises: every
-    // finished point saved, every pending point a resumable stub.
-    sink.finalCheckpoint();
+    // One durability barrier for every object this session
+    // published, before the checkpoint that records them done.
+    if (options.hoard)
+        options.hoard->flush();
+    // The final checkpoint is the document: built, serialized and
+    // written once. After a requested stop this is the "final
+    // checkpoint" the drain contract promises: every finished
+    // point saved, every pending point a resumable stub.
+    report.doc = sink.finalDocument(report.written);
     report.interrupted = assembler.pending().size();
     std::vector<char> wasRun(plan.points.size(), 0);
     for (std::size_t index : toRun)
@@ -267,8 +282,6 @@ runSweep(const SweepSpec &spec, const SweepOptions &options)
     report.hoardHits = sink.hoardHits();
     report.hoardStored = sink.hoardStored();
     report.executed -= report.hoardHits;
-
-    report.doc = assembler.document();
     report.wallSeconds =
         std::chrono::duration<double>(SteadyClock::now() - t0)
             .count();

@@ -84,8 +84,9 @@ struct SweepOptions
      * {"error": "interrupted: ..."} stubs, which a later `resume`
      * of the same file re-runs — so a killed sweep restarts from
      * exactly the points it finished. `qcarch sweep --out X`
-     * checkpoints to X. The final checkpoint equals the final
-     * document.
+     * checkpoints to X. The final checkpoint is the final
+     * document, written once: SweepReport::written tells the
+     * caller whether it still has to write it.
      */
     std::string checkpointPath;
 
@@ -114,7 +115,9 @@ struct SweepOptions
      * metrics JSON — so the document never depends on the cache
      * state. The production implementation is HoardStore, injected
      * by the CLI; the engine sees only the ResultCache interface.
-     * Not owned; must outlive runSweep. Thread-safe.
+     * The engine calls its flush() once, after the pool drains and
+     * before the final checkpoint. Not owned; must outlive
+     * runSweep. Thread-safe.
      */
     ResultCache *hoard = nullptr;
 };
@@ -137,6 +140,11 @@ struct SweepReport
     /** Unique points left undone by a stopRequested drain; the doc
      *  holds "interrupted" stubs for them (0 = ran to completion). */
     std::size_t interrupted = 0;
+    /** The final checkpoint wrote doc to checkpointPath: the file
+     *  holds exactly doc.dump(2) + "\n". False without a path, for
+     *  a path the engine will not replace (not a regular file) and
+     *  for a failed write. */
+    bool written = false;
     double wallSeconds = 0;     ///< not part of doc (determinism)
 };
 

@@ -206,8 +206,10 @@ class McPrepRunner : public SweepRunner
     runPoint(const Json &config, SweepContext &) const override
     {
         ErrorParams errors;
-        errors.pGate = config.getDouble("pGate", errors.pGate);
-        errors.pMove = config.getDouble("pMove", errors.pMove);
+        errors.pGate = checkedProbability(
+            "pGate", config.getDouble("pGate", errors.pGate));
+        errors.pMove = checkedProbability(
+            "pMove", config.getDouble("pMove", errors.pMove));
         const std::uint64_t trials = static_cast<std::uint64_t>(
             config.getInt("trials", 400000));
         const std::uint64_t seed = static_cast<std::uint64_t>(

@@ -13,6 +13,10 @@ A non-quiet sweep whose stderr is a pipe (a CI or worker log) must
 print plain newline-terminated progress lines, never the terminal's
 carriage-return redraw or escape codes.
 
+A sweep writes the same bytes to stdout, to a regular --out file
+and through an --out symlink, which the engine will not replace
+with its checkpoint and so leaves for the CLI to write.
+
 Usage: cli_matrix.py <path-to-qcarch>
 """
 
@@ -123,6 +127,50 @@ def piped_progress_problems(qcarch):
     return problems
 
 
+def output_path_problems(qcarch):
+    """Run one small sweep to stdout, to a regular --out file and
+    to an --out symlink; list what differs."""
+    spec = {
+        "runner": "experiment",
+        "base": {"workload": "qrca", "bits": 4},
+        "axes": [{"field": "demandBins", "values": [1, 2]}],
+    }
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = os.path.join(tmp, "spec.json")
+        with open(spec_path, "w") as f:
+            json.dump(spec, f)
+        sweep = [qcarch, "sweep", spec_path, "--quiet"]
+        stdout = subprocess.run(sweep, capture_output=True,
+                                timeout=60)
+        regular = os.path.join(tmp, "out.json")
+        target = os.path.join(tmp, "target.json")
+        link = os.path.join(tmp, "link.json")
+        with open(target, "w") as f:
+            f.write("stale\n")
+        os.symlink(target, link)
+        outputs = {"stdout": stdout.stdout}
+        for name, path in (("--out file", regular),
+                           ("--out symlink", link)):
+            proc = subprocess.run(sweep + ["--out", path],
+                                  capture_output=True, timeout=60)
+            if proc.returncode != 0:
+                problems.append("%s: exit %d" % (name,
+                                                 proc.returncode))
+            with open(path, "rb") as f:
+                outputs[name] = f.read()
+        if stdout.returncode != 0:
+            problems.append("stdout: exit %d" % stdout.returncode)
+        if not os.path.islink(link):
+            problems.append("--out symlink was replaced by a file")
+        for name, data in outputs.items():
+            if data != outputs["stdout"]:
+                problems.append("%s differs from stdout (%d vs %d "
+                                "bytes)" % (name, len(data),
+                                            len(outputs["stdout"])))
+    return problems
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: cli_matrix.py <qcarch>", file=sys.stderr)
@@ -154,12 +202,17 @@ def main():
     if problems:
         failures.append(("non-quiet sweep with piped stderr",
                          ["sweep", "<12-point spec>"], problems))
+    problems = output_path_problems(qcarch)
+    if problems:
+        failures.append(("sweep document on every output path",
+                         ["sweep", "<2-point spec>", "--out", "..."],
+                         problems))
     for description, argv, problems in failures:
         print("FAIL %s (qcarch %s):" % (description, " ".join(argv)),
               file=sys.stderr)
         for problem in problems:
             print("  " + problem, file=sys.stderr)
-    total = len(CASES) + 1
+    total = len(CASES) + 2
     print("cli_matrix: %d/%d cases pass"
           % (total - len(failures), total))
     return 1 if failures else 0

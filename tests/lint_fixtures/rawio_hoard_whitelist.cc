@@ -3,7 +3,7 @@
 #include <filesystem>
 
 // The hoard commit path is whitelisted: its objects are published
-// through writeFileDurable, and its only raw renames are the
+// through writeFileAtomic, and its only raw renames are the
 // quarantine moves of already-invalid files.
 void quarantine(const std::filesystem::path &from,
                 const std::filesystem::path &to)

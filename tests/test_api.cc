@@ -539,6 +539,31 @@ TEST(ExperimentConfig, NegativeThrottledKnobsThrow)
     EXPECT_EQ(zero.timeLimit, 0);
 }
 
+TEST(ExperimentConfig, ErrorRatesOutsideUnitIntervalThrow)
+{
+    for (const char *field : {"pGate", "pMove"}) {
+        for (const char *bad : {"2", "-1", "1.0000001", "-1e-300"}) {
+            EXPECT_THROW(ExperimentConfig::fromJson(Json::parse(
+                             std::string("{\"errors\": {\"") + field
+                             + "\": " + bad + "}}")),
+                         std::invalid_argument)
+                << field << " = " << bad;
+        }
+        Json errors = Json::object();
+        errors.set(field, std::numeric_limits<double>::quiet_NaN());
+        Json nan = Json::object();
+        nan.set("errors", errors);
+        EXPECT_THROW(ExperimentConfig::fromJson(nan),
+                     std::invalid_argument)
+            << field;
+    }
+    // Both ends of [0, 1] are rates.
+    const ExperimentConfig ends = ExperimentConfig::fromJson(
+        Json::parse(R"({"errors": {"pGate": 0, "pMove": 1}})"));
+    EXPECT_EQ(ends.errors.pGate, 0);
+    EXPECT_EQ(ends.errors.pMove, 1);
+}
+
 TEST(ExperimentConfig, ScheduleModeNamesRoundTrip)
 {
     for (ScheduleMode mode :

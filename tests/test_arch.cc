@@ -228,6 +228,29 @@ TEST_F(MicroarchTest, QlaChargesTeleportsFor2qGates)
               census.of(GateKind::CX) + census.of(GateKind::CZ));
 }
 
+TEST_F(MicroarchTest, AllZeroTechIsRefused)
+{
+    // The banked models' generators need a positive period, and
+    // the fma factories a positive latency per unit; an all-zero
+    // `tech` used to abort the process in the bank pool.
+    DataflowGraph g(qrca8().lowered.circuit);
+    MicroarchConfig config;
+    config.tech = IonTrapParams{0, 0, 0, 0, 0, 0};
+    const auto refusal = [&](const std::string &key) {
+        try {
+            ArchRegistry::instance().get(key).run(g, model_, config);
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string("no exception");
+    };
+    for (const char *key : {"qla", "gqla", "cqla", "gcqla"})
+        EXPECT_NE(refusal(key).find("period"), std::string::npos)
+            << key << ": " << refusal(key);
+    EXPECT_NE(refusal("fma").find("factory unit"), std::string::npos)
+        << refusal("fma");
+}
+
 TEST_F(MicroarchTest, CacheMissRateFallsWithLargerCache)
 {
     DataflowGraph g(qrca8().lowered.circuit);

@@ -5,9 +5,11 @@
  * semantic or reporting-only, with property tests that
  * reporting-only changes hit and semantic changes miss), store
  * round trips, the corruption matrix (truncated / bit-flipped /
- * wrong-version / orphaned-index / torn-write objects each
- * quarantined and transparently recomputed, output byte-identical
- * to a cold run), eviction order, concurrent sweeps sharing one
+ * wrong-version / orphaned-index / torn-write objects, and the
+ * empty and zero-filled objects a power loss before the barrier
+ * can leave, each quarantined and transparently recomputed, output
+ * byte-identical to a cold run), one durability barrier per
+ * storing session, eviction order, concurrent sweeps sharing one
  * store, idempotent duplicate publishes, and ingest of leftover
  * serve shard deltas.
  */
@@ -17,6 +19,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -486,6 +489,58 @@ TEST(HoardSweep, WarmRunExecutesZeroPointsByteIdentical)
     EXPECT_EQ(second.doc.dump(), cold.dump());
 }
 
+TEST(HoardSweep, OneBarrierPerStoringSession)
+{
+    // Publishes skip the fsyncs; the engine makes them durable
+    // with one barrier after the pool drains. A session that
+    // stored nothing runs none.
+    ScratchDir dir("qc_hoard_barrier");
+    const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
+    for (std::size_t stored : {4u, 0u}) {
+        HoardStore hoard(dir.file("store"));
+        SweepOptions options;
+        options.threads = 2;
+        options.hoard = &hoard;
+        EXPECT_EQ(runSweep(spec, options).hoardStored, stored);
+        EXPECT_EQ(hoard.counters().stores, stored);
+        EXPECT_EQ(hoard.counters().barriers, stored > 0 ? 1u : 0u);
+    }
+}
+
+/** Every regular file under `root` with its content, by path. */
+std::map<std::string, std::string>
+snapshotTree(const std::string &root)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : fs::recursive_directory_iterator(root))
+        if (entry.is_regular_file())
+            files[entry.path().string()] = readAll(entry.path());
+    return files;
+}
+
+TEST(HoardSweep, FetchOnlySessionLeavesTheStoreUntouched)
+{
+    // A store opened, used only for fetches and then flushed
+    // writes nothing: no publish temp, no index change, no barrier.
+    ScratchDir dir("qc_hoard_readonly");
+    const SweepSpec spec = SweepSpec::fromJson(parse(kSpec));
+    ASSERT_EQ(hoardedRun(spec, dir.file("store")).hoardStored, 4u);
+    HoardStore(dir.file("store")).verify(); // writes index.json
+    const auto before = snapshotTree(dir.file("store"));
+    ASSERT_TRUE(before.count(dir.file("store") + "/index.json"));
+
+    HoardStore hoard(dir.file("store"));
+    const SweepPlan plan = SweepPlan::expand(spec);
+    for (const SweepPoint &point : plan.points) {
+        Json result;
+        EXPECT_TRUE(hoard.fetch(spec.runner, point.config, result));
+    }
+    hoard.flush();
+    EXPECT_EQ(hoard.counters().hits, 4u);
+    EXPECT_EQ(hoard.counters().barriers, 0u);
+    EXPECT_EQ(snapshotTree(dir.file("store")), before);
+}
+
 TEST(HoardSweep, CompatiblePointsReuseAcrossSpecVariants)
 {
     // The key policy pays off across *different* specs: a sweep
@@ -645,6 +700,27 @@ TEST(HoardCorruption, TornWriteRecomputes)
             // rename happened, the data only half made it.
             const std::string content = readAll(path);
             writeFileTorn(path, content, content.size() / 3);
+        });
+}
+
+// Objects are published by rename without an fsync, so a power
+// loss before the session's barrier can leave the rename on disk
+// and the data not: an object of the right name that is empty, or
+// that has its length but only zero bytes.
+
+TEST(HoardCorruption, ZeroLengthObjectRecomputes)
+{
+    expectQuarantineAndRecompute(
+        "zero-length",
+        [](const std::string &path) { writeAll(path, ""); });
+}
+
+TEST(HoardCorruption, NulFilledObjectRecomputes)
+{
+    expectQuarantineAndRecompute(
+        "nul-filled", [](const std::string &path) {
+            writeAll(path,
+                     std::string(readAll(path).size(), '\0'));
         });
 }
 
@@ -888,8 +964,9 @@ TEST(HoardIngest, LeftoverServeDeltasWarmTheStore)
 
     HoardStore hoard(dir.file("store"));
     EXPECT_EQ(hoard.ingestServe(serveRoot), 2u);
-    // Re-ingest is idempotent.
+    // Re-ingest is idempotent, and stores nothing to make durable.
     EXPECT_EQ(hoard.ingestServe(serveRoot), 0u);
+    EXPECT_EQ(hoard.counters().barriers, 1u);
 
     // The two ingested points hit; the other two compute.
     const SweepReport warm =

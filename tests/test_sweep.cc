@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -463,6 +464,77 @@ TEST(SweepEngine, OutOfRangeArchFieldsAreCapturedNotFatal)
                         R"("schedule": "arch", "arch": ")")
                 + c.arch + "\"}",
             c.field, c.values, c.field);
+    }
+}
+
+TEST(SweepEngine, AllZeroTechIsCapturedNotFatal)
+{
+    // An all-zero `tech` gives the dedicated generators of the four
+    // banked models a zero period (it used to abort the process)
+    // and every factory unit a zero latency. Each point is refused
+    // on its own, and the paper-tech points beside them come out
+    // as they do alone.
+    const std::string head = R"({"runner": "experiment",
+      "base": {"workload": "qrca", "bits": 4, "schedule": "arch"},
+      "axes": [{"field": "arch",
+                "values": ["qla", "gqla", "cqla", "gcqla", "fma"]},
+               {"zip": [)";
+    std::string zeroAndPaper;
+    std::string paperOnly;
+    const std::pair<const char *, int> latencies[] = {
+        {"t1q_ns", 1000},   {"t2q_ns", 10000}, {"tmeas_ns", 50000},
+        {"tprep_ns", 51000}, {"tmove_ns", 1000}, {"tturn_ns", 10000}};
+    for (const auto &[field, paper] : latencies) {
+        const std::string sep = zeroAndPaper.empty() ? "" : ", ";
+        const std::string axis =
+            R"({"field": "tech.)" + std::string(field)
+            + R"(", "values": [)";
+        zeroAndPaper +=
+            sep + axis + "0, " + std::to_string(paper) + "]}";
+        paperOnly += sep + axis + std::to_string(paper) + "]}";
+    }
+    const SweepReport mixed = runSweep(
+        SweepSpec::fromJson(parse(head + zeroAndPaper + "]}]}")));
+    const SweepReport alone = runSweep(
+        SweepSpec::fromJson(parse(head + paperOnly + "]}]}")));
+    EXPECT_EQ(mixed.failed, 5u);
+    EXPECT_EQ(alone.failed, 0u);
+    const Json &points = mixed.doc.at("points");
+    ASSERT_EQ(points.size(), 10u);
+    for (std::size_t arch = 0; arch < 5; ++arch) {
+        const Json &zero = points.at(2 * arch);
+        ASSERT_TRUE(zero.has("error"));
+        EXPECT_NE(zero.at("error").asString().find("tech.*_ns"),
+                  std::string::npos)
+            << zero.at("error").asString();
+        EXPECT_EQ(points.at(2 * arch + 1).dump(),
+                  alone.doc.at("points").at(arch).dump());
+    }
+}
+
+TEST(SweepEngine, OutOfRangeErrorRatesAreCapturedNotFatal)
+{
+    for (const char *field : {"errors.pGate", "errors.pMove"}) {
+        for (const char *bad : {"2", "-1"}) {
+            expectSecondPointFails(
+                R"({"workload": "qrca", "bits": 8})", field,
+                std::string("[0.0001, ") + bad + "]", field);
+        }
+    }
+    // The mc-prep runner reads the same two rates.
+    for (const char *field : {"pGate", "pMove"}) {
+        const SweepReport report = runSweep(SweepSpec::fromJson(parse(
+            R"({"runner": "mc-prep", "base": {"trials": 2000},
+                "axes": [{"field": ")"
+            + std::string(field) + R"(", "values": [0.0001, 2, -1]}]})")));
+        EXPECT_EQ(report.failed, 2u) << field;
+        const Json &points = report.doc.at("points");
+        EXPECT_FALSE(points.at(0).has("error")) << field;
+        for (std::size_t i : {1u, 2u}) {
+            ASSERT_TRUE(points.at(i).has("error")) << field;
+            EXPECT_NE(points.at(i).at("error").asString().find(field),
+                      std::string::npos);
+        }
     }
 }
 
@@ -1267,6 +1339,64 @@ TEST(SweepEngine, CheckpointHappensBetweenSlowPoints)
     // The final checkpoint equals the final document.
     EXPECT_EQ(Json::loadFile(path).dump(), report.doc.dump());
     std::remove(path.c_str());
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+TEST(SweepEngine, FinalCheckpointIsTheDocumentWrittenOnce)
+{
+    // The final checkpoint is the output file: the engine writes
+    // report.doc there itself, so `qcarch sweep --out` writes it
+    // once. After a drain it holds the resumable stubs.
+    const SweepSpec spec =
+        SweepSpec::fromJson(parse(resume_specs::kFull));
+    const std::string path =
+        ::testing::TempDir() + "qc_sweep_final.json";
+    std::remove(path.c_str());
+    SweepOptions options;
+    options.threads = 2;
+    options.checkpointPath = path;
+    const SweepReport full = runSweep(spec, options);
+    EXPECT_TRUE(full.written);
+    EXPECT_EQ(readBytes(path), full.doc.dump(2) + "\n");
+
+    std::size_t done = 0;
+    options.threads = 1;
+    options.checkpointSeconds = 1e9; // only the final checkpoint
+    options.progress = [&](const SweepProgress &) { ++done; };
+    options.stopRequested = [&] { return done >= 2; };
+    const SweepReport drained = runSweep(spec, options);
+    EXPECT_TRUE(drained.written);
+    EXPECT_EQ(drained.interrupted, 2u);
+    EXPECT_EQ(readBytes(path), drained.doc.dump(2) + "\n");
+    std::size_t stubs = 0;
+    for (std::size_t i = 0; i < drained.doc.at("points").size(); ++i)
+        stubs += drained.doc.at("points").at(i).has("error");
+    EXPECT_EQ(stubs, 2u);
+    std::remove(path.c_str());
+
+    // No path, or one the engine will not replace (a symlink):
+    // nothing written, and the caller emits the document itself.
+    EXPECT_FALSE(runSweep(spec).written);
+    const std::string target =
+        ::testing::TempDir() + "qc_sweep_final_target.json";
+    const std::string link =
+        ::testing::TempDir() + "qc_sweep_final_link.json";
+    std::remove(link.c_str());
+    { std::ofstream(target) << "untouched\n"; }
+    std::filesystem::create_symlink(target, link);
+    SweepOptions linked;
+    linked.checkpointPath = link;
+    EXPECT_FALSE(runSweep(spec, linked).written);
+    EXPECT_EQ(readBytes(target), "untouched\n");
+    std::remove(link.c_str());
+    std::remove(target.c_str());
 }
 
 TEST(SweepEngine, StopRequestedDrainsToAResumableCheckpoint)

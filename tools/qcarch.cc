@@ -395,7 +395,12 @@ cmdSweep(std::vector<std::string> args)
 
     installStopHandlers();
     const SweepReport report = runSweep(spec, options);
-    emit(report.doc, out);
+    // The final checkpoint already wrote a regular --out file; the
+    // document goes out here only to stdout, to a path the engine
+    // will not replace (a device or symlink), or after a failed
+    // write, which then fails loudly.
+    if (!report.written)
+        emit(report.doc, out);
     if (!quiet) {
         std::cerr << report.points << " points ("
                   << report.executed << " executed, "

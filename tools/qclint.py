@@ -30,11 +30,11 @@ Rules (each waivable, see below):
                 src/serve or src/hoard outside DurableFile, the
                 lease protocol (src/serve/Lease.cc) and the hoard
                 commit path (src/hoard/HoardStore.cc, whose
-                renames are the quarantine moves the durable
-                publish pattern requires). Checkpoint, delta,
-                lease and hoard-object files must be written
-                through writeFileDurable / Lease so a kill cannot
-                leave a torn file.
+                renames are the quarantine moves). Checkpoint,
+                delta and lease files must be written through
+                writeFileDurable / Lease, and hoard objects
+                through the atomic writeFileAtomic publish, so a
+                kill cannot leave a torn file.
 
   raw-exit      _exit/_Exit outside src/serve/FaultInjector.cc.
                 Process death is the fault injector's job; anywhere
@@ -169,9 +169,10 @@ RULES = [
         r"|\bcreat\s*\()",
         ["src/sweep/", "src/serve/", "src/hoard/"],
         ["src/serve/Lease.cc", "src/hoard/HoardStore.cc"],
-        "checkpoint/delta/lease/hoard-object files must go through "
-        "writeFileDurable, the Lease protocol or the hoard commit "
-        "path so a crash cannot leave a torn file",
+        "checkpoint/delta/lease files must go through "
+        "writeFileDurable or the Lease protocol, and hoard objects "
+        "through the atomic writeFileAtomic publish, so a crash "
+        "cannot leave a torn file",
     ),
     Rule(
         "raw-exit",
